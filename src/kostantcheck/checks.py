@@ -7,13 +7,15 @@ generator and combines echelon basis vectors of the relevant submodule, so
 every run with the same (check, n, seed, trials) performs bit-for-bit the
 same arithmetic.  Checks built on the almost-Grassmannian source require
 n ≥ 3; the rest require n ≥ 2.  :func:`run_check` returns None for a cell
-outside its check's window, and ranged drivers skip such cells silently.
+outside its check's window, and ranged drivers skip such cells silently; a
+cell inside its window that ran no cases fails.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from .feff import (INFEASIBLE, Report, _Checker, ag_costar_check, build_maps,
@@ -58,7 +60,7 @@ def _random_combination(basis: list[Cochain], rng: random.Random) -> Cochain:
     for c in basis:
         k = rng.randint(-9, 9)
         if k:
-            out = out.add(c, Fraction(k))
+            out.add_into(c, Fraction(k))
     return out
 
 
@@ -358,7 +360,8 @@ def run_check(name: str, n: int, seed: int, trials: int) -> Report | None:
     """Run one (check, n) cell; None when n is below the check's window.
 
     The generator is seeded from the full cell identity so that cells are
-    independent of execution order and of each other.
+    independent of execution order and of each other.  A cell that ran no
+    cases is reported as a failure, never as a pass.
     """
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}")
@@ -366,4 +369,7 @@ def run_check(name: str, n: int, seed: int, trials: int) -> Report | None:
     if n < min_n:
         return None
     rng = random.Random(f"{seed}:{name}:{n}")
-    return runner(n, rng, trials)
+    rep = runner(n, rng, trials)
+    if not rep.cases:
+        rep = replace(rep, ok=False, failures=[*rep.failures, "the cell ran no cases"])
+    return rep

@@ -12,8 +12,9 @@ The JSON report format is the stable machine interface: a list of objects
 failing cells, serialized with sorted keys.  wall_time_ms is fixed to 0 in
 JSON so that runs with identical (check, n, seed, trials) are byte-
 identical; measured times appear in the text format only.  Exit codes:
-0 when every report passes, 1 when any cell fails, 2 for usage or input
-errors.  Cells whose size lies outside a check's window (the suites built
+0 when every report passes, 1 when any cell fails (a cell that ran no
+cases fails), 2 for usage or input errors, such as a non-positive
+--trials.  Cells whose size lies outside a check's window (the suites built
 on the almost-Grassmannian source need n ≥ 3) are skipped without a
 report, so ranged runs over mixed windows can still exit 0.
 """
@@ -50,6 +51,9 @@ def _report_row(rep: Report) -> dict[str, object]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_min > args.n_max:
         print("error: --n-min exceeds --n-max", file=sys.stderr)
+        return 2
+    if args.trials < 1:
+        print("error: --trials must be a positive integer", file=sys.stderr)
         return 2
     names = CHECK_NAMES if args.check == "all" else (args.check,)
     reports: list[tuple[Report, int]] = []

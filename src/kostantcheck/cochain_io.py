@@ -17,7 +17,7 @@ Every matrix is a dense m×m array of rationals written as strings "p" or
 carries one strictly increasing index tuple over the g/p quotient basis,
 and index tuples omitted from the list are zero.  Matrices must be
 traceless (values live in sl(m)); m must equal the sum of the grading
-blocks.  Malformed documents raise :class:`CochainFormatError` whose
+blocks; integer fields take JSON numbers, never the booleans true/false.  Malformed documents raise :class:`CochainFormatError` whose
 message is anchored to the offending location ("values[3].matrix: ...").
 """
 
@@ -41,12 +41,15 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _is_int(x: object) -> bool:
+    """A JSON integer; JSON booleans load as ``bool``, a subclass of ``int``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_rational(raw: object, where: str) -> Fraction:
-    if isinstance(raw, int):
+    if isinstance(raw, str) and _RATIONAL.match(raw) or _is_int(raw):
         return Fraction(raw)
-    if not isinstance(raw, str) or not _RATIONAL.match(raw):
-        raise CochainFormatError(f'{where}: expected a rational "p" or "p/q", got {raw!r}')
-    return Fraction(raw)
+    raise CochainFormatError(f'{where}: expected a rational "p" or "p/q", got {raw!r}')
 
 
 def cochain_to_doc(c: Cochain) -> dict:
@@ -81,14 +84,14 @@ def doc_to_cochain(doc: object) -> Cochain:
     m = _require(algebra, "m", "algebra")
     blocks = _require(_require(doc, "grading", "document"), "blocks", "grading")
     if (not isinstance(blocks, list) or not blocks
-            or any(not isinstance(b, int) or b < 1 for b in blocks)):
+            or any(not _is_int(b) or b < 1 for b in blocks)):
         raise CochainFormatError("grading.blocks: expected a list of positive integers")
-    if not isinstance(m, int) or m != sum(blocks):
+    if not _is_int(m) or m != sum(blocks):
         raise CochainFormatError(f"algebra.m: expected the block sum {sum(blocks)}, got {m!r}")
     if len(blocks) < 2:
         raise CochainFormatError("grading.blocks: a grading needs at least two blocks")
     degree = _require(doc, "degree", "document")
-    if not isinstance(degree, int) or degree < 0:
+    if not _is_int(degree) or degree < 0:
         raise CochainFormatError(f"degree: expected a non-negative integer, got {degree!r}")
     values = _require(doc, "values", "document")
     if not isinstance(values, list):
@@ -101,7 +104,7 @@ def doc_to_cochain(doc: object) -> Cochain:
         where = f"values[{k}]"
         indices = _require(entry, "indices", where)
         if (not isinstance(indices, list) or len(indices) != degree
-                or any(not isinstance(i, int) for i in indices)):
+                or any(not _is_int(i) for i in indices)):
             raise CochainFormatError(f"{where}.indices: expected {degree} integers")
         T = tuple(indices)
         if any(i < 0 or i >= alg.dim_neg for i in T):

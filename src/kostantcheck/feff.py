@@ -963,7 +963,7 @@ def normalize_step(psi: Cochain, level: int,
             return INFEASIBLE
         for coeff, c in zip(u[:len(cols)], col_cochains):
             if coeff:
-                phi = phi.add(c, coeff)
+                phi.add_into(c, coeff)
     residual = costar(partial(phi)).add(psi)
     if not (residual.is_zero() if nxt.dim == 0 else nxt.contains(residual)):
         raise AssertionError("normalize_step postcondition failed")

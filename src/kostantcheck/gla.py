@@ -44,10 +44,6 @@ SparseMat = dict
 Weight = tuple
 
 
-def smat_copy(x: SparseMat) -> SparseMat:
-    return dict(x)
-
-
 def smat_scale(x: SparseMat, c) -> SparseMat:
     return {pos: c * v for pos, v in x.items()} if c else {}
 
@@ -198,14 +194,6 @@ class GradedSL:
     def degrees_present(self, x: SparseMat) -> list[int]:
         return sorted({self.degree_of_position(a, b) for (a, b) in x})
 
-    def min_degree(self, x: SparseMat) -> int | None:
-        """Smallest grading degree present, or None for the zero element."""
-        degs = self.degrees_present(x)
-        return degs[0] if degs else None
-
-    def positive_part(self, x: SparseMat) -> SparseMat:
-        return {pos: v for pos, v in x.items() if self.degree_of_position(*pos) > 0}
-
     # --- coordinates ------------------------------------------------------
 
     def coords(self, x: SparseMat) -> list[Fraction]:
@@ -238,7 +226,13 @@ class GradedSL:
 
     def class_mod_p(self, x: SparseMat) -> list[Fraction]:
         """Coordinates of x + p in the quotient basis {X^i}."""
-        return [frac(x.get(pos, 0)) for pos in self.neg_positions]
+        out = [Fraction(0)] * self.dim_neg
+        index_of_neg = self.index_of_neg
+        for pos, v in x.items():
+            i = index_of_neg.get(pos)
+            if i is not None:
+                out[i] = frac(v)
+        return out
 
     def lift_from_class(self, coeffs: Sequence) -> SparseMat:
         out: SparseMat = {}

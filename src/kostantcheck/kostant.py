@@ -105,13 +105,31 @@ class Cochain:
             return {}
         return dict(stored) if sign == 1 else smat_scale(stored, -1)
 
-    def add(self, other: "Cochain", coeff=1) -> "Cochain":
+    def add_into(self, other: "Cochain", coeff=1) -> "Cochain":
+        """In place: self += coeff·other; returns self.
+
+        The stored tuples of ``other`` are already sorted and in range, so
+        its values are accumulated directly, without re-normalizing them.
+        """
         if other.alg.blocks != self.alg.blocks or other.deg != self.deg:
             raise ValueError("cochain context mismatch")
-        out = Cochain(self.alg, self.deg, self.data)
-        for T, mat in other.data.items():
-            out.add_term(T, mat, coeff)
-        return out
+        if not coeff:
+            return self
+        terms = other.data.items()
+        if other is self:
+            terms = [(T, dict(mat)) for T, mat in terms]
+        data = self.data
+        for T, mat in terms:
+            target = data.setdefault(T, {})
+            smat_add_into(target, mat, coeff)
+            if not target:
+                del data[T]
+        return self
+
+    def add(self, other: "Cochain", coeff=1) -> "Cochain":
+        out = Cochain(self.alg, self.deg)
+        out.data = {T: dict(mat) for T, mat in self.data.items()}
+        return out.add_into(other, coeff)
 
     def scale(self, coeff) -> "Cochain":
         out = Cochain(self.alg, self.deg)
@@ -212,6 +230,8 @@ def costar_two_form(c: Cochain, lift_extras: Sequence[SparseMat] | None = None) 
         raise ValueError("evaluation form is for degree 2")
     alg = c.alg
     out = Cochain(alg, 1)
+    # Both sums vanish unless X^i is an argument of some stored value.
+    support = sorted({i for T in c.data for i in T})
     for x in range(alg.dim_neg):
         lift = dict(alg.x_mat(x))
         if lift_extras is not None:
@@ -220,7 +240,7 @@ def costar_two_form(c: Cochain, lift_extras: Sequence[SparseMat] | None = None) 
                 raise ValueError("lift modification must lie in p")
             smat_add_into(lift, extra)
         acc: SparseMat = {}
-        for i in range(alg.dim_neg):
+        for i in support:
             smat_add_into(acc, smat_bracket(alg.z_mat(i), c.value((x, i))))
             cls = alg.class_mod_p(smat_bracket(alg.z_mat(i), lift))
             for a, cf in enumerate(cls):
@@ -523,16 +543,16 @@ def hodge(blocks: tuple[int, ...], deg: int = 2) -> HodgeData:
         ker_costar[w] = _kernel_space(s_down, dim_here)
         ker_partial[w] = _kernel_space(d_up, dim_here)
 
+        # □ = ∂∘∂* + ∂*∘∂ on this block: d_in·s_down + s_in·d_up, summed
+        # over the nonzero entries of both factors only.
         box = [[Fraction(0)] * dim_here for _ in range(dim_here)]
-        for src in range(dim_here):
-            mid_down = [row[src] for row in s_down]
-            back_up = _apply(d_in, mid_down)
-            mid_up = [row[src] for row in d_up]
-            back_down = _apply(s_in, mid_up)
-            for i in range(dim_here):
-                val = back_up[i] + back_down[i]
-                if val:
-                    box[i][src] = val
+        for left, right in ((d_in, s_down), (s_in, d_up)):
+            right_nz = [[(j, y) for j, y in enumerate(row) if y] for row in right]
+            for box_row, left_row in zip(box, left):
+                for k, x in enumerate(left_row):
+                    if x:
+                        for j, y in right_nz[k]:
+                            box_row[j] += x * y
         ker_box[w] = _kernel_space(box, dim_here)
 
     total = chain_total_dim(alg, deg)
@@ -544,10 +564,3 @@ def hodge(blocks: tuple[int, ...], deg: int = 2) -> HodgeData:
         ker_partial=ChainModule("ker partial", alg, deg, ker_partial),
         total_dim=total,
     )
-
-
-def _apply(mat: list[list[Fraction]], vec: list[Fraction]) -> list[Fraction]:
-    if not mat:
-        return []
-    return [sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), Fraction(0))
-            for row in mat]

@@ -8,6 +8,9 @@ one place:
   everywhere and coerced on the fly (ints and Fractions mix exactly);
 * the canonical witness for a subspace is its reduced row-echelon basis, so
   subspace equality is literal equality of bases;
+* elimination works only on nonzero entries: a row update touches the
+  nonzero support of the pivot row, so the structural zeros that dominate
+  the operator blocks cost no ``Fraction`` arithmetic;
 * there are no tolerances anywhere — a residual either is zero or is not.
 
 ``solve`` returns ``None`` for an inconsistent system; callers that need to
@@ -58,15 +61,14 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return out
 
 
-def mat_add(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def rref(mat: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int]:
     """Reduced row-echelon form.
 
     Returns ``(R, rank)`` where ``R`` has the same shape as ``mat``.  The
-    input is not mutated.
+    input is not mutated: rows of a copy are updated in place, and each
+    elimination step subtracts the pivot row only over its nonzero support
+    (its entries left of the pivot are already zero).  The reduced form is
+    unique, so skipping zeros changes no entry of the result.
     """
     rows = copy_matrix(mat)
     nrows = len(rows)
@@ -77,14 +79,18 @@ def rref(mat: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int]:
         if pivot is None:
             continue
         rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        inv = Fraction(1) / rows[lead][col]
-        if inv != 1:
-            rows[lead] = [x * inv for x in rows[lead]]
         prow = rows[lead]
+        support = [j for j in range(col, ncols) if prow[j]]
+        inv = 1 / prow[col]
+        if inv != 1:
+            for j in support:
+                prow[j] *= inv
         for r in range(nrows):
-            if r != lead and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
+            row = rows[r]
+            f = row[col]
+            if f and r != lead:
+                for j in support:
+                    row[j] -= f * prow[j]
         lead += 1
         if lead == nrows:
             break
@@ -99,12 +105,13 @@ def kernel_basis(mat: Sequence[Sequence[Fraction]]) -> list[Vector]:
     """Canonical basis of the right null space {x : mat·x = 0}.
 
     One basis vector per free column, with a 1 in that column; this is the
-    standard back-substituted basis, hence deterministic.
+    standard back-substituted basis, hence deterministic.  All-zero rows
+    constrain nothing and are dropped before elimination.
     """
     if not mat:
         return []
     ncols = len(mat[0])
-    reduced, rk = rref(mat)
+    reduced, rk = rref([row for row in mat if any(row)])
     pivot_cols: list[int] = []
     for r in range(rk):
         pivot_cols.append(next(c for c in range(ncols) if reduced[r][c]))

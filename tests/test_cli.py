@@ -60,6 +60,11 @@ class TestRationalStrings:
         with pytest.raises(CochainFormatError, match="x:"):
             parse_rational(bad, "x")
 
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_rejects_booleans(self, bad) -> None:
+        with pytest.raises(CochainFormatError, match="x:"):
+            parse_rational(bad, "x")
+
 
 class TestCochainDocuments:
     def test_round_trip_through_doc(self) -> None:
@@ -105,6 +110,29 @@ class TestCochainDocuments:
         with pytest.raises(CochainFormatError, match=message):
             doc_to_cochain(doc)
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d["algebra"].__setitem__("m", True), "block sum"),
+        (lambda d: d["grading"].__setitem__("blocks", [True, 1, 2]), "positive integers"),
+        (lambda d: d.__setitem__("degree", True), "non-negative"),
+        (lambda d: d["values"][0].__setitem__("indices", [False, 3]), "expected 2 integers"),
+        (lambda d: d["values"][0]["matrix"][0].__setitem__(0, True), "rational"),
+    ], ids=["m", "blocks", "degree", "indices", "matrix-entry"])
+    def test_json_booleans_are_not_integers(self, mutate, message) -> None:
+        doc = cochain_to_doc(sample_cochain(seed=3, terms=6))
+        mutate(doc)
+        with pytest.raises(CochainFormatError, match=message):
+            doc_to_cochain(doc)
+
+    def test_all_boolean_document_is_rejected(self) -> None:
+        zero_row = ["0"] * 4
+        doc = {"algebra": {"type": "sl", "m": 4}, "grading": {"blocks": [True, 1, 2]},
+               "degree": True,
+               "values": [{"indices": [False],
+                           "matrix": [[True, "0", "0", "0"], ["0", "-1", "0", "0"],
+                                      zero_row, zero_row]}]}
+        with pytest.raises(CochainFormatError):
+            doc_to_cochain(doc)
+
     def test_malformed_json_error_names_the_location(self, tmp_path) -> None:
         path = tmp_path / "broken.json"
         path.write_text("{nope", encoding="utf-8")
@@ -145,6 +173,13 @@ class TestCheckRegistry:
         rep = run_check("ag-costar", 3, 1, 2)
         assert rep is not None and rep.ok and rep.cases > 0
 
+    @pytest.mark.parametrize("name", ["ag-costar", "rho-ricci"])
+    def test_cell_with_no_cases_fails(self, name: str) -> None:
+        rep = run_check(name, 3, 1, 0)
+        assert rep is not None and rep.cases == 0
+        assert not rep.ok
+        assert rep.failures == ["the cell ran no cases"]
+
 
 class TestVerifyCommand:
     def run_json(self, capsys, *argv: str):
@@ -182,6 +217,25 @@ class TestVerifyCommand:
         rc = cli.main(["verify", "--n-min", "3", "--n-max", "2"])
         assert rc == 2
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check,trials", [("ag-costar", "0"), ("rho-ricci", "-3")])
+    def test_non_positive_trials_is_a_usage_error(self, capsys, check, trials) -> None:
+        rc = cli.main(["verify", "--format", "json", "--check", check,
+                       "--n-min", "3", "--n-max", "3", "--trials", trials])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--trials" in captured.err
+
+    def test_zero_case_cell_is_reported_as_fail(self, capsys, monkeypatch) -> None:
+        vacuous = Report(name="jacobi", n=2, ok=True, cases=0)
+        monkeypatch.setitem(CHECKS, "jacobi", (2, lambda n, rng, trials: vacuous))
+        rc, out = self.run_json(capsys, "--check", "jacobi",
+                                "--n-min", "2", "--n-max", "2")
+        assert rc == 1
+        assert json.loads(out) == [{"check": "jacobi", "n": 2, "status": "FAIL",
+                                    "cases_run": 0, "wall_time_ms": 0,
+                                    "counterexample": "the cell ran no cases"}]
 
     def test_unknown_check_is_rejected_by_the_parser(self) -> None:
         with pytest.raises(SystemExit) as err:

@@ -33,9 +33,11 @@ from kostantcheck.kostant import (
     homogeneity_split,
     insertion,
     laplacian,
+    operator_block,
     partial,
     zero_cochain,
 )
+from kostantcheck.ratlin import Subspace, kernel_basis
 
 F = Fraction
 
@@ -66,6 +68,49 @@ class TestCochainStorage:
         diff = b.add(a, -1)
         assert diff.data == {(2,): {(0, 2): F(1)}}
         assert a.add(a, -1).is_zero()
+
+    def test_add_into_matches_add(self) -> None:
+        rng = random.Random(43)
+        for blocks, deg in (((1, 1, 2), 1), ((1, 1, 2), 2), ((2, 3), 2)):
+            alg = graded_sl(blocks)
+            for _ in range(10):
+                a, b = random_cochain(alg, deg, rng), random_cochain(alg, deg, rng)
+                k = F(rng.randint(-3, 3), rng.randint(1, 2))
+                expected = Cochain(alg, deg, a.data)
+                for T, mat in b.data.items():
+                    expected.add_term(T, mat, k)
+                assert a.add(b, k) == expected
+                before = Cochain(alg, deg, b.data)
+                assert a.add_into(b, k) is a
+                assert a == expected
+                assert b == before
+
+    def test_add_into_leaves_operands_of_add_untouched(self) -> None:
+        alg = graded_sl((2, 3))
+        rng = random.Random(47)
+        a, b = random_cochain(alg, 2, rng), random_cochain(alg, 2, rng)
+        a_before = Cochain(alg, 2, a.data)
+        total = a.add(b)
+        total.add_into(b, 5)
+        assert a == a_before
+
+    def test_add_into_self(self) -> None:
+        alg = graded_sl((1, 1, 2))
+        rng = random.Random(53)
+        for _ in range(5):
+            c = random_cochain(alg, 2, rng)
+            assert Cochain(alg, 2, c.data).add_into(c, 2) == c.scale(3)
+            same = Cochain(alg, 2, c.data)
+            assert same.add_into(same, 2) == c.scale(3)
+            same = Cochain(alg, 2, c.data)
+            assert same.add_into(same, -1).is_zero()
+
+    def test_add_into_rejects_a_context_mismatch(self) -> None:
+        c = Cochain(graded_sl((1, 1, 2)), 2)
+        with pytest.raises(ValueError, match="mismatch"):
+            c.add_into(Cochain(graded_sl((2, 2)), 2))
+        with pytest.raises(ValueError, match="mismatch"):
+            c.add_into(Cochain(graded_sl((1, 1, 2)), 1))
 
 
 class TestPartial:
@@ -307,6 +352,15 @@ class TestHodge:
             assert costar(c).is_zero()
             assert partial(c).is_zero()
             assert laplacian(c).is_zero()
+
+    @pytest.mark.parametrize("blocks", [(1, 1, 2), (2, 3)])
+    def test_assembled_box_matches_the_laplacian_oracle(self, blocks) -> None:
+        here = block_structure(blocks, 2)
+        ker_box = hodge(blocks, 2).ker_box
+        for w, labs in here.labels.items():
+            box = operator_block(here, here, laplacian, w)
+            expected = Subspace(len(labs), kernel_basis(box))
+            assert ker_box.spaces.get(w, Subspace(len(labs))) == expected, w
 
     def test_im_costar_members_die_under_costar(self) -> None:
         h = hodge((2, 2), 2)

@@ -114,6 +114,67 @@ def test_kernel_vectors_annihilated_and_independent() -> None:
             assert rank(basis) == len(basis)
 
 
+def dense_rref(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
+    """Reference elimination that updates every entry of every row."""
+    rows = [list(row) for row in mat]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    lead = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(lead, nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[lead], rows[pivot] = rows[pivot], rows[lead]
+        rows[lead] = [x / rows[lead][col] for x in rows[lead]]
+        for r in range(nrows):
+            if r != lead:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[lead])]
+        lead += 1
+    return rows, lead
+
+
+def sparse_matrix(rng: random.Random, nrows: int, ncols: int) -> list[list[Fraction]]:
+    """Mostly-zero integer matrix with some all-zero rows, like an operator block."""
+    return [[F(0)] * ncols if rng.random() < 0.3 else
+            [F(rng.randint(-3, 3)) if rng.random() < 0.3 else F(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def test_rref_with_zero_rows_matches_dense_elimination() -> None:
+    mat = [[F(0), F(0), F(0)], [F(0), F(2), F(4)], [F(0), F(0), F(0)], [F(3), F(0), F(3)]]
+    assert rref(mat) == ([[F(1), F(0), F(1)], [F(0), F(1), F(2)],
+                          [F(0), F(0), F(0)], [F(0), F(0), F(0)]], 2)
+    rng = random.Random(37)
+    for _ in range(60):
+        mat = sparse_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        assert rref(mat) == dense_rref(mat)
+
+
+def test_rref_does_not_mutate_its_input() -> None:
+    mat = [[F(2), F(4)], [F(1), F(3)]]
+    rref(mat)
+    assert mat == [[F(2), F(4)], [F(1), F(3)]]
+
+
+def test_all_zero_matrix() -> None:
+    zero = [[F(0)] * 3 for _ in range(2)]
+    assert rref(zero) == (zero, 0)
+    assert kernel_basis(zero) == identity_matrix(3)
+
+
+def test_kernel_of_sparse_matrices_with_zero_rows() -> None:
+    rng = random.Random(41)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        mat = sparse_matrix(rng, nrows, ncols)
+        basis = kernel_basis(mat)
+        assert rank(mat) + len(basis) == ncols
+        for vec in basis:
+            assert mat_vec(mat, vec) == zero_vector(nrows)
+        if basis:
+            assert rank(basis) == len(basis)
+
+
 def test_solve_feasible_and_infeasible() -> None:
     mat = [[F(1), F(2)], [F(2), F(4)]]
     assert solve(mat, [F(3), F(6)]) == [F(3), F(0)]
