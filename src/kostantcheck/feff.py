@@ -140,9 +140,7 @@ class EmbeddingMaps:
             if smat_trace(img):
                 raise MapConstructionError("i_prime is not traceless")
         image_coords = [gt.coords(img) for img in self._images]
-        rank_space = Subspace(gt.dim)
-        for vec in image_coords:
-            rank_space.insert(vec)
+        rank_space = Subspace(gt.dim, image_coords)
         if rank_space.dim != g.dim:
             raise MapConstructionError("i_prime is not injective")
         self.i_image = rank_space
@@ -156,10 +154,8 @@ class EmbeddingMaps:
                         "i_prime is not a Lie algebra homomorphism")
 
         self.n1F_positions = [(r, c) for r in range(3) for c in range(3, self.mt)]
-        n1f = Subspace(gt.dim)
-        for pos in self.n1F_positions:
-            n1f.insert(_unit(gt.dim, gt.index_of_position[pos]))
-        self.n1F_space = n1f
+        self.n1F_space = Subspace(gt.dim, [_unit(gt.dim, gt.index_of_position[pos])
+                                           for pos in self.n1F_positions])
         self._qmap_domain = self.i_image.sum_with(self.n1F_space)
 
         for i in range(g.dim):
@@ -184,10 +180,7 @@ class EmbeddingMaps:
                 raise MapConstructionError("pi is not well defined on classes")
         self.pi_cols = pi_cols
 
-        pi_rank = Subspace(g.dim_neg)
-        for col in pi_cols:
-            pi_rank.insert(col)
-        if pi_rank.dim != g.dim_neg:
+        if Subspace(g.dim_neg, pi_cols).dim != g.dim_neg:
             raise MapConstructionError("pi is not surjective")
         pi_mat = [[pi_cols[j][s] for j in range(gt.dim_neg)]
                   for s in range(g.dim_neg)]
@@ -324,10 +317,7 @@ def q0ss_indices(g: GradedSL) -> list[int]:
 
 
 def coordinate_subspace(g: GradedSL, indices: Sequence[int]) -> Subspace:
-    out = Subspace(g.dim)
-    for i in indices:
-        out.insert(_unit(g.dim, i))
-    return out
+    return Subspace(g.dim, [_unit(g.dim, i) for i in indices])
 
 
 @lru_cache(maxsize=None)
@@ -427,15 +417,9 @@ def module_E2(n: int) -> ChainModule:
 def bracket_n1F_space(n: int) -> Subspace:
     """The span [g̃, ñ^{1,F}] in coordinates of sl(n+3)."""
     gt = graded_sl((2, n + 1))
-    out = Subspace(gt.dim)
-    for i in range(gt.dim):
-        x = gt.basis_mat(i)
-        for r in range(3):
-            for c in range(3, gt.m):
-                br = smat_bracket(x, elementary(r, c))
-                if br:
-                    out.insert(gt.coords(br))
-    return out
+    brackets = (smat_bracket(gt.basis_mat(i), elementary(r, c))
+                for i in range(gt.dim) for r in range(3) for c in range(3, gt.m))
+    return Subspace(gt.dim, [gt.coords(br) for br in brackets if br])
 
 
 @lru_cache(maxsize=None)
@@ -468,7 +452,7 @@ def _constrained_module(module: ChainModule, name: str,
         residuals = [residual(c) for c in basis]
         nres = len(residuals[0])
         mat = [[residuals[k][r] for k in range(len(basis))] for r in range(nres)]
-        sub = Subspace(len(rows[0]))
+        new_rows = []
         for kv in (kernel_basis(mat) if nres else
                    [_unit(len(basis), k) for k in range(len(basis))]):
             new_row = zero_vector(len(rows[0]))
@@ -477,7 +461,8 @@ def _constrained_module(module: ChainModule, name: str,
                     for idx, bv in enumerate(brow):
                         if bv:
                             new_row[idx] += coeff * bv
-            sub.insert(new_row)
+            new_rows.append(new_row)
+        sub = Subspace(len(rows[0]), new_rows)
         if sub.dim:
             spaces[w] = sub
     return ChainModule(name, module.alg, module.deg, spaces)
@@ -840,14 +825,12 @@ def verify_norm_modules(n: int) -> Report:
     chk.check(bwd_rank == m1.dim, "∂*(im∂∩F) does not span im∂*∩E")
 
     # condition-set realizations
-    cls_p = Subspace(gt.dim_neg)
     p_basis = [i for i, lab in enumerate(g.basis_labels)
                if lab[0] == "H" or g.degree_of_position(lab[1], lab[2]) >= 0]
-    for i in p_basis:
-        cls_p.insert(gt.class_mod_p(maps.i_prime(g.basis_mat(i))))
-    cls_g = Subspace(gt.dim_neg)
-    for i in range(g.dim):
-        cls_g.insert(gt.class_mod_p(maps.i_prime(g.basis_mat(i))))
+    cls_p = Subspace(gt.dim_neg, [gt.class_mod_p(maps.i_prime(g.basis_mat(i)))
+                                  for i in p_basis])
+    cls_g = Subspace(gt.dim_neg, [gt.class_mod_p(maps.i_prime(g.basis_mat(i)))
+                                  for i in range(g.dim)])
 
     amb1 = ChainModule.from_labels(
         "p̃_+⊗n1F", gt, 1,
@@ -1096,12 +1079,13 @@ def verify_torsion_transfer(n: int) -> Report:
     b_idx = b_indices(g)
     rows = [[frac(maps.i_prime(g.basis_mat(v)).get(pos, 0)) for v in b_idx]
             for pos in gt.neg_positions]
-    t_space = Subspace(g.dim)
+    t_vectors = []
     for kv in kernel_basis(rows):
         vec = zero_vector(g.dim)
         for coeff, v in zip(kv, b_idx):
             vec[v] = coeff
-        t_space.insert(vec)
+        t_vectors.append(vec)
+    t_space = Subspace(g.dim, t_vectors)
     b_space = coordinate_subspace(g, b_idx)
     chk.check(t_space == b_space.intersect(maps.h_space),
               "{x ∈ B : i'(x) ∈ p̃} differs from B ∩ h")

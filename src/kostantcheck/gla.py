@@ -7,9 +7,11 @@ negative part, the block diagonal is degree 0, and the parabolic p is the
 non-negative part (block upper triangular).
 
 Elements are stored sparsely as ``{(row, col): value}`` with exact entries
+(``int`` or ``fractions.Fraction``, which mix exactly)
 and zero values never kept; this keeps brackets of (near-)elementary
 matrices O(1) instead of O(m³), which is what makes the exhaustive
-differential sweeps cheap.
+differential sweeps cheap.  Basis elements and structure constants are
+``int``, so brackets of basis elements stay in integer arithmetic.
 
 Fixed ordered basis of sl(m) (this order is a package-wide convention —
 serialized coordinates and chain-space coordinates all refer to it):
@@ -114,7 +116,7 @@ def smat_to_dense(x: SparseMat, m: int) -> list[list[Fraction]]:
 
 
 def elementary(a: int, b: int) -> SparseMat:
-    return {(a, b): Fraction(1)}
+    return {(a, b): 1}
 
 
 class GradedSL:
@@ -165,7 +167,7 @@ class GradedSL:
         if lab[0] == "E":
             return elementary(lab[1], lab[2])
         k = lab[1]
-        return {(k, k): Fraction(1), (k + 1, k + 1): Fraction(-1)}
+        return {(k, k): 1, (k + 1, k + 1): -1}
 
     def x_mat(self, i: int) -> SparseMat:
         """The chosen lift of the quotient basis vector X^i."""
@@ -196,23 +198,36 @@ class GradedSL:
 
     # --- coordinates ------------------------------------------------------
 
-    def coords(self, x: SparseMat) -> list[Fraction]:
-        """Coordinates in the fixed basis; requires trace zero."""
-        if smat_trace(x) != 0:
-            raise ValueError("element has nonzero trace")
-        out = [Fraction(0)] * self.dim
-        diag = [Fraction(0)] * self.m
+    def sparse_coords(self, x: SparseMat) -> list[tuple[int, int | Fraction]]:
+        """Nonzero coordinates ``(index, value)`` in the fixed basis, by
+        index, with values as stored; requires trace zero."""
+        out = []
+        diag = {}
+        index_of_position = self.index_of_position
         for (a, b), v in x.items():
             if a == b:
-                diag[a] = frac(v)
+                diag[a] = v
             else:
-                out[self.index_of_position[(a, b)]] = frac(v)
-        # H_k-coordinates are the partial sums of the diagonal.
-        base = self.dim - (self.m - 1)
-        running = Fraction(0)
-        for k in range(self.m - 1):
-            running += diag[k]
-            out[base + k] = running
+                out.append((index_of_position[(a, b)], v))
+        if diag:
+            # H_k-coordinates are the partial sums of the diagonal, zero
+            # before its first nonzero entry.
+            base = self.dim - (self.m - 1)
+            running = 0
+            for k in range(min(diag), self.m - 1):
+                running += diag.get(k, 0)
+                if running:
+                    out.append((base + k, running))
+            if running + diag.get(self.m - 1, 0):
+                raise ValueError("element has nonzero trace")
+        out.sort()
+        return out
+
+    def coords(self, x: SparseMat) -> list[int | Fraction]:
+        """Coordinates in the fixed basis: :meth:`sparse_coords`, dense."""
+        out: list[int | Fraction] = [0] * self.dim
+        for i, v in self.sparse_coords(x):
+            out[i] = v
         return out
 
     def from_coords(self, vec: Sequence) -> SparseMat:
@@ -265,10 +280,10 @@ class GradedSL:
         return smat_bracket(x, y)
 
     @cached_property
-    def neg_pair_coords(self) -> dict[int, list[tuple[int, int, Fraction]]]:
+    def neg_pair_coords(self) -> dict[int, list[tuple[int, int, int]]]:
         """s ↦ [(a, b, c)] with a < b and c = coefficient of X^s in the
         class of [X^a, X^b] mod p.  Drives the second sum of ∂."""
-        table: dict[int, list[tuple[int, int, Fraction]]] = {}
+        table: dict[int, list[tuple[int, int, int]]] = {}
         for a in range(self.dim_neg):
             xa = self.x_mat(a)
             for b in range(a + 1, self.dim_neg):
@@ -276,19 +291,19 @@ class GradedSL:
                 for s, pos in enumerate(self.neg_positions):
                     c = w.get(pos)
                     if c:
-                        table.setdefault(s, []).append((a, b, frac(c)))
+                        table.setdefault(s, []).append((a, b, c))
         return table
 
     @cached_property
-    def pos_pair_coords(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+    def pos_pair_coords(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """(i, j) with i < j ↦ [(t, c)] expanding [Z_i, Z_j] = Σ c·Z_t.
         Drives the second sum of the codifferential."""
-        table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        table: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for i in range(self.dim_neg):
             zi = self.z_mat(i)
             for j in range(i + 1, self.dim_neg):
                 w = smat_bracket(zi, self.z_mat(j))
-                hits = [(t, frac(w[(b, a)])) for t, (a, b) in enumerate(self.neg_positions)
+                hits = [(t, w[(b, a)]) for t, (a, b) in enumerate(self.neg_positions)
                         if (b, a) in w]
                 if hits:
                     table[(i, j)] = hits

@@ -261,20 +261,19 @@ def insertion(phi: Cochain, psi: Cochain) -> Cochain:
         raise ValueError("insertion is defined for two degree-2 cochains")
     alg = phi.alg
     out = Cochain(alg, 3)
-    candidates: set[tuple[int, ...]] = set()
-    for (a, b) in phi.data:
+    # Every cyclic term ψ(φ(X^a, X^b) mod p, X^w) comes from a stored pair
+    # a < b of φ with a nonzero class; add_term's sort sign places it on
+    # the increasing triple, as the cyclic sum over that triple requires.
+    for (a, b), u in phi.data.items():
+        cls = [(s, cf) for s, cf in enumerate(alg.class_mod_p(u)) if cf]
+        if not cls:
+            continue
         for w in range(alg.dim_neg):
             if w != a and w != b:
-                candidates.add(tuple(sorted((a, b, w))))
-    for x, y, z in sorted(candidates):
-        acc: SparseMat = {}
-        for first, second, third in ((x, y, z), (y, z, x), (z, x, y)):
-            cls = alg.class_mod_p(phi.value((first, second)))
-            for s, cf in enumerate(cls):
-                if cf:
-                    smat_add_into(acc, psi.value((s, third)), cf)
-        if acc:
-            out.add_term((x, y, z), acc)
+                acc: SparseMat = {}
+                for s, cf in cls:
+                    smat_add_into(acc, psi.value((s, w)), cf)
+                out.add_term((a, b, w), acc)
     return out
 
 
@@ -398,25 +397,32 @@ class ChainModule:
     @classmethod
     def from_cochains(cls, name: str, alg: GradedSL, deg: int,
                       cochains: Iterable[Cochain]) -> "ChainModule":
-        structure = block_structure(alg.blocks, deg)
-        spaces: dict[Weight, Subspace] = {}
+        vectors: dict[Weight, list[list[Fraction]]] = {}
         for c in cochains:
             for w, vec in blocked_coords(c).items():
-                spaces.setdefault(w, Subspace(structure.block_dim(w))).insert(vec)
-        return cls(name, alg, deg, spaces)
+                vectors.setdefault(w, []).append(vec)
+        return cls._spanned(name, alg, deg, vectors)
 
     @classmethod
     def from_labels(cls, name: str, alg: GradedSL, deg: int,
                     labels: Iterable[tuple[tuple[int, ...], int]]) -> "ChainModule":
         """Coordinate submodule spanned by chain-basis labels (T, v)."""
         structure = block_structure(alg.blocks, deg)
-        spaces: dict[Weight, Subspace] = {}
+        vectors: dict[Weight, list[list[int]]] = {}
         for tv in labels:
             w, i = structure.pos_of[tv]
-            vec = zero_vector(structure.block_dim(w))
-            vec[i] = Fraction(1)
-            spaces.setdefault(w, Subspace(structure.block_dim(w))).insert(vec)
-        return cls(name, alg, deg, spaces)
+            vec = [0] * structure.block_dim(w)
+            vec[i] = 1
+            vectors.setdefault(w, []).append(vec)
+        return cls._spanned(name, alg, deg, vectors)
+
+    @classmethod
+    def _spanned(cls, name: str, alg: GradedSL, deg: int,
+                 vectors: dict[Weight, list[Sequence]]) -> "ChainModule":
+        """The module spanned by block vectors, one Subspace per weight."""
+        structure = block_structure(alg.blocks, deg)
+        return cls(name, alg, deg, {w: Subspace(structure.block_dim(w), vecs)
+                                    for w, vecs in vectors.items()})
 
     @property
     def dim(self) -> int:
@@ -470,39 +476,39 @@ class ChainModule:
 
 
 def operator_block(structure_in: BlockStructure, structure_out: BlockStructure,
-                   op: Callable[[Cochain], Cochain], w: Weight) -> list[list[Fraction]]:
+                   op: Callable[[Cochain], Cochain], w: Weight) -> list[list[int | Fraction]]:
     """Matrix of a weight-preserving operator on one weight block.
 
     Rows index the target block, columns the source block; an empty source
-    or target block yields a matrix with zero columns or rows.
+    or target block yields a matrix with zero columns or rows.  The nonzero
+    coordinates of each image are scattered straight into the matrix, whose
+    entries stay ``int`` for the integer operators ∂, ∂* and □.
     """
     alg = structure_in.alg
-    nrows = structure_out.block_dim(w)
+    pos_of = structure_out.pos_of
     cols = structure_in.labels.get(w, [])
-    mat = [[Fraction(0)] * len(cols) for _ in range(nrows)]
+    mat = [[0] * len(cols) for _ in range(structure_out.block_dim(w))]
     for col, (T, v) in enumerate(cols):
         image = op(Cochain(alg, structure_in.deg, {T: alg.basis_mat(v)}))
-        for wv, vec in blocked_coords(image).items():
-            if wv != w:
-                raise AssertionError("operator did not preserve the weight")
-            for i, cf in enumerate(vec):
-                if cf:
-                    mat[i][col] = cf
+        for S, u in image.data.items():
+            for idx, cf in alg.sparse_coords(u):
+                wv, i = pos_of[(S, idx)]
+                if wv != w:
+                    raise AssertionError("operator did not preserve the weight")
+                mat[i][col] = cf
     return mat
 
 
-def _kernel_space(mat: list[list[Fraction]], ncols: int) -> Subspace:
+def _kernel_space(mat: list[list[int | Fraction]], ncols: int) -> Subspace:
     if not mat or not ncols:
-        basis = [[Fraction(1) if i == j else Fraction(0) for j in range(ncols)]
-                 for i in range(ncols)]
-        return Subspace(ncols, basis)
+        return Subspace(ncols, [[int(i == j) for j in range(ncols)] for i in range(ncols)])
     return Subspace(ncols, kernel_basis(mat))
 
 
-def _column_space(mat: list[list[Fraction]]) -> Subspace:
+def _column_space(mat: list[list[int | Fraction]]) -> Subspace:
     if not mat:
         return Subspace(0)
-    return Subspace(len(mat), [list(col) for col in zip(*mat)])
+    return Subspace(len(mat), zip(*mat))
 
 
 @dataclass(frozen=True)
@@ -545,7 +551,7 @@ def hodge(blocks: tuple[int, ...], deg: int = 2) -> HodgeData:
 
         # □ = ∂∘∂* + ∂*∘∂ on this block: d_in·s_down + s_in·d_up, summed
         # over the nonzero entries of both factors only.
-        box = [[Fraction(0)] * dim_here for _ in range(dim_here)]
+        box = [[0] * dim_here for _ in range(dim_here)]
         for left, right in ((d_in, s_down), (s_in, d_up)):
             right_nz = [[(j, y) for j, y in enumerate(row) if y] for row in right]
             for box_row, left_row in zip(box, left):

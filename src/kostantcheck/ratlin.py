@@ -1,16 +1,20 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package ultimately reduces to row operations on matrices
-of ``fractions.Fraction`` entries, so this module keeps the conventions in
-one place:
+of exact entries, so this module keeps the conventions in one place:
 
-* matrices are dense lists of row lists; plain ``int`` entries are accepted
-  everywhere and coerced on the fly (ints and Fractions mix exactly);
+* matrices are dense lists of row lists whose entries are ``int`` or
+  ``fractions.Fraction`` (the two mix exactly); results of elimination are
+  always ``Fraction``;
+* elimination is fraction-free: each row is scaled to coprime integers and
+  reduced Gauss–Jordan over Python ``int`` (integer-preserving elimination
+  as in Bareiss 1968, with each updated row divided by the gcd of its
+  entries), and only the finished echelon rows are divided by their pivots,
+  so the inner loop never builds a ``Fraction``;
+* a row update touches the nonzero support of the pivot row, so the
+  structural zeros that dominate the operator blocks cost nothing;
 * the canonical witness for a subspace is its reduced row-echelon basis, so
   subspace equality is literal equality of bases;
-* elimination works only on nonzero entries: a row update touches the
-  nonzero support of the pivot row, so the structural zeros that dominate
-  the operator blocks cost no ``Fraction`` arithmetic;
 * there are no tolerances anywhere — a residual either is zero or is not.
 
 ``solve`` returns ``None`` for an inconsistent system; callers that need to
@@ -20,6 +24,7 @@ signal infeasibility (the normalization solver) propagate that ``None``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = list[Fraction]
@@ -29,10 +34,6 @@ Matrix = list[list[Fraction]]
 def frac(x: int | str | Fraction) -> Fraction:
     """Coerce an exact value (int, Fraction, or 'p/q' string) to Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def copy_matrix(mat: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [[frac(x) for x in row] for row in mat]
 
 
 def zero_vector(n: int) -> Vector:
@@ -61,40 +62,60 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return out
 
 
-def rref(mat: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int]:
+def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
+    """A positive rational multiple of ``row`` with coprime integer entries."""
+    den = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    content = gcd(*ints)
+    return [x // content for x in ints] if content > 1 else ints
+
+
+def rref(mat: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, int]:
     """Reduced row-echelon form.
 
-    Returns ``(R, rank)`` where ``R`` has the same shape as ``mat``.  The
-    input is not mutated: rows of a copy are updated in place, and each
-    elimination step subtracts the pivot row only over its nonzero support
-    (its entries left of the pivot are already zero).  The reduced form is
-    unique, so skipping zeros changes no entry of the result.
+    Returns ``(R, rank)`` where ``R`` has the same shape as ``mat`` and every
+    entry is a ``Fraction`` (zero entries may share one object).  The input
+    is not mutated.  Each row is first scaled to coprime integers; a row
+    ``r`` is then cleared at a pivot ``p`` of the pivot row ``q`` as
+    ``(p/g)·r − (r_col/g)·q`` with ``g = gcd(p, r_col)``, subtracting only
+    over the nonzero support of ``q``, and divided by the gcd of its
+    entries.  The rows stay integer throughout; dividing each pivot row by
+    its pivot at the end gives the reduced form, which is unique, so it is
+    the same as that of rational Gauss–Jordan elimination.
     """
-    rows = copy_matrix(mat)
+    rows = [_integer_row(row) for row in mat]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    lead = 0
+    pivot_cols: list[int] = []
     for col in range(ncols):
+        lead = len(pivot_cols)
         pivot = next((r for r in range(lead, nrows) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[lead], rows[pivot] = rows[pivot], rows[lead]
         prow = rows[lead]
+        p = prow[col]
         support = [j for j in range(col, ncols) if prow[j]]
-        inv = 1 / prow[col]
-        if inv != 1:
-            for j in support:
-                prow[j] *= inv
         for r in range(nrows):
             row = rows[r]
             f = row[col]
             if f and r != lead:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    row = [a * x for x in row]
                 for j in support:
-                    row[j] -= f * prow[j]
-        lead += 1
-        if lead == nrows:
+                    row[j] -= b * prow[j]
+                content = gcd(*row)
+                rows[r] = [x // content for x in row] if content > 1 else row
+        pivot_cols.append(col)
+        if lead + 1 == nrows:
             break
-    return rows, lead
+    zero = Fraction(0)
+    out = [[Fraction(x, row[pc]) if x else zero for x in row]
+           for row, pc in zip(rows, pivot_cols)]
+    out.extend([zero] * ncols for _ in range(nrows - len(pivot_cols)))
+    return out, len(pivot_cols)
 
 
 def rank(mat: Sequence[Sequence[Fraction]]) -> int:
@@ -151,18 +172,21 @@ class Subspace:
     """A linear subspace of Q^ambient, held in reduced row-echelon form.
 
     The echelon basis is the canonical witness: two Subspaces are equal as
-    objects iff they are equal as subspaces.  Construction row-reduces
-    incrementally, so feeding redundant spanning vectors is cheap.
+    objects iff they are equal as subspaces.  Construction row-reduces the
+    spanning vectors in one :func:`rref`, so feeding redundant spanning
+    vectors is cheap; :meth:`insert` extends the span one vector at a time.
     """
 
     __slots__ = ("ambient", "rows", "pivots")
 
-    def __init__(self, ambient: int, vectors: Iterable[Sequence[Fraction]] = ()) -> None:
+    def __init__(self, ambient: int, vectors: Iterable[Sequence[int | Fraction]] = ()) -> None:
+        vectors = list(vectors)
+        if any(len(v) != ambient for v in vectors):
+            raise ValueError("vector has wrong ambient dimension")
+        reduced, rk = rref([v for v in vectors if any(v)])
         self.ambient = ambient
-        self.rows: list[Vector] = []
-        self.pivots: list[int] = []
-        for v in vectors:
-            self.insert(v)
+        self.rows: list[Vector] = reduced[:rk]
+        self.pivots: list[int] = [next(j for j, x in enumerate(row) if x) for row in self.rows]
 
     @property
     def dim(self) -> int:
@@ -210,10 +234,7 @@ class Subspace:
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        out = Subspace(self.ambient, self.rows)
-        for row in other.rows:
-            out.insert(row)
-        return out
+        return Subspace(self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """U ∩ V via the kernel of the column-stacked bases."""

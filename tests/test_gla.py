@@ -30,6 +30,36 @@ F = Fraction
 ALL_GRADINGS_N2 = [(1, 1, 2), (2, 2), (2, 3), (2, 1, 2)]
 
 
+def reference_coords(alg, x: dict) -> list[Fraction]:
+    """Dense coordinates straight from the basis definition: off-diagonal
+    entries at their basis index, and H_k = E_kk − E_{k+1,k+1} weighted by
+    the partial sums of the diagonal."""
+    out = [F(0)] * alg.dim
+    for k, label in enumerate(alg.basis_labels):
+        if label[0] == "E":
+            out[k] = F(x.get((label[1], label[2]), 0))
+        else:
+            out[k] = sum((F(x.get((j, j), 0)) for j in range(label[1] + 1)), F(0))
+    return out
+
+
+def random_traceless(rng: random.Random, m: int) -> dict:
+    """Sparse trace-zero matrix with int and non-integer Fraction entries."""
+    x: dict = {}
+    for _ in range(rng.randint(1, 6)):
+        a, b = rng.randrange(m), rng.randrange(m)
+        v = rng.choice([rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(1, 4))])
+        if v:
+            x[(a, b)] = v
+    trace = sum((v for (a, b), v in x.items() if a == b), 0)
+    last = x.get((m - 1, m - 1), 0) - trace
+    if last:
+        x[(m - 1, m - 1)] = last
+    else:
+        x.pop((m - 1, m - 1), None)
+    return x
+
+
 def test_bracket_sl2_triple() -> None:
     assert smat_bracket(elementary(0, 1), elementary(1, 0)) == {
         (0, 0): F(1),
@@ -163,6 +193,37 @@ class TestCoordinates:
         alg = graded_sl((2, 2))
         with pytest.raises(ValueError):
             alg.coords({(0, 0): F(1)})
+
+    @pytest.mark.parametrize("blocks", [(2, 3), (1, 1, 3)])
+    def test_sparse_coords_are_the_nonzero_coordinates(self, blocks) -> None:
+        alg = graded_sl(blocks)
+        rng = random.Random(23)
+        elements = [alg.basis_mat(i) for i in range(alg.dim)]
+        for _ in range(40):
+            x = random_traceless(rng, alg.m)
+            elements.append(x)
+        for x in elements:
+            expected = reference_coords(alg, x)
+            assert alg.sparse_coords(x) == [(i, v) for i, v in enumerate(expected) if v]
+            assert alg.coords(x) == expected
+
+    def test_nonzero_trace_rejected_by_sparse_coords(self) -> None:
+        alg = graded_sl((1, 1, 3))
+        for x in ({(0, 0): F(1)}, {(4, 4): 2}, {(1, 1): F(1, 2), (2, 2): F(-1, 2), (3, 3): 1},
+                  {(0, 1): 3, (4, 4): F(-1, 3)}):
+            with pytest.raises(ValueError):
+                alg.sparse_coords(x)
+            with pytest.raises(ValueError):
+                alg.coords(x)
+
+    def test_basis_elements_and_their_brackets_are_integer(self) -> None:
+        alg = graded_sl((2, 3))
+        basis = [alg.basis_mat(i) for i in range(alg.dim)]
+        assert all(type(v) is int for x in basis for v in x.values())
+        for x in basis:
+            for y in basis:
+                assert all(type(v) is int for v in smat_bracket(x, y).values())
+                assert all(type(v) is int for _, v in alg.sparse_coords(smat_bracket(x, y)))
 
     def test_quotient_coords_prefix(self) -> None:
         """Coordinates of the class mod p are the leading block of coords."""

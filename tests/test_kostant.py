@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from kostantcheck.feff import module_E_path, module_F_path
 from kostantcheck.gla import elementary, graded_sl, smat_add_into
 from kostantcheck.kostant import (
     ChainModule,
@@ -40,6 +41,27 @@ from kostantcheck.kostant import (
 from kostantcheck.ratlin import Subspace, kernel_basis
 
 F = Fraction
+
+
+def dense_insertion(phi: Cochain, psi: Cochain) -> Cochain:
+    """Reference cyclic insertion: every candidate triple, three cyclic pairs."""
+    alg = phi.alg
+    out = Cochain(alg, 3)
+    candidates: set[tuple[int, ...]] = set()
+    for (a, b) in phi.data:
+        for w in range(alg.dim_neg):
+            if w != a and w != b:
+                candidates.add(tuple(sorted((a, b, w))))
+    for x, y, z in sorted(candidates):
+        acc: dict = {}
+        for first, second, third in ((x, y, z), (y, z, x), (z, x, y)):
+            cls = alg.class_mod_p(phi.value((first, second)))
+            for s, cf in enumerate(cls):
+                if cf:
+                    smat_add_into(acc, psi.value((s, third)), cf)
+        if acc:
+            out.add_term((x, y, z), acc)
+    return out
 
 
 def random_cochain(alg, deg: int, rng: random.Random, terms: int = 6) -> Cochain:
@@ -282,6 +304,32 @@ class TestInsertion:
                                     smat_add_into(expected, psi.value((s, c)), cf)
                         assert out.value((x, y, z)) == expected
 
+    def test_matches_dense_reference_on_random_cochains(self) -> None:
+        rng = random.Random(79)
+        for blocks in [(1, 1, 2), (2, 1, 2), (1, 1, 3)]:
+            alg = graded_sl(blocks)
+            for _ in range(10):
+                phi = random_cochain(alg, 2, rng, terms=rng.randint(0, 10))
+                psi = random_cochain(alg, 2, rng, terms=rng.randint(0, 10))
+                assert insertion(phi, psi) == dense_insertion(phi, psi)
+
+    def test_matches_dense_reference_on_the_path_module_bases_n2(self) -> None:
+        basis = module_F_path(2).basis_cochains() + module_E_path(2).basis_cochains()
+        assert len(basis) ** 2 == 9216
+        for phi in basis:
+            for psi in basis:
+                assert insertion(phi, psi) == dense_insertion(phi, psi)
+
+    def test_matches_dense_reference_on_path_module_pairs_n3(self) -> None:
+        basis = module_F_path(3).basis_cochains() + module_E_path(3).basis_cochains()
+        nonzero = 0
+        for phi in basis[::3]:
+            for psi in basis[::5]:
+                out = insertion(phi, psi)
+                assert out == dense_insertion(phi, psi)
+                nonzero += not out.is_zero()
+        assert nonzero > 0
+
 
 class TestBlocksAndModules:
     @pytest.mark.parametrize("blocks,deg", [((1, 1, 2), 2), ((2, 3), 2), ((2, 1, 2), 3)])
@@ -299,6 +347,22 @@ class TestBlocksAndModules:
         for w, vec in blocked_coords(c).items():
             acc = acc.add(cochain_from_block(alg, 2, w, vec))
         assert acc == c
+
+    @pytest.mark.parametrize("blocks", [(1, 1, 2), (2, 3)])
+    @pytest.mark.parametrize("op,step", [(partial, 1), (costar, -1)])
+    def test_operator_block_columns_match_blocked_coords(self, blocks, op, step) -> None:
+        alg = graded_sl(blocks)
+        for deg in (1, 2):
+            here = block_structure(blocks, deg)
+            there = block_structure(blocks, deg + step)
+            for w, labs in here.labels.items():
+                mat = operator_block(here, there, op, w)
+                assert all(type(x) is int for row in mat for x in row)
+                for col, (T, v) in enumerate(labs):
+                    image = blocked_coords(op(basis_cochain(alg, deg, T, v)))
+                    assert set(image) <= {w}
+                    expected = image.get(w, [0] * there.block_dim(w))
+                    assert [row[col] for row in mat] == expected
 
     def test_chain_module_membership_and_basis(self) -> None:
         alg = graded_sl((1, 1, 2))

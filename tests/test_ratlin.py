@@ -260,3 +260,114 @@ class TestSubspace:
         space = Subspace(3)
         with pytest.raises(ValueError):
             space.reduce([F(1), F(2)])
+
+
+def rational_matrix(rng: random.Random, nrows: int, ncols: int) -> list[list[Fraction]]:
+    """Sparse matrix with non-integer rational entries and some all-zero rows."""
+    return [[F(0)] * ncols if rng.random() < 0.2 else
+            [F(rng.randint(-7, 7), rng.randint(1, 6)) if rng.random() < 0.6 else F(0)
+             for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def mixed_entries(rng: random.Random, mat: list[list[Fraction]]) -> list[list[int | Fraction]]:
+    """The same matrix with some integral entries given as plain ints."""
+    return [[int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in row]
+            for row in mat]
+
+
+def assert_fraction_free_rref_matches_reference(mat: list[list], ref_input: list[list[Fraction]]) -> None:
+    before = [list(row) for row in mat]
+    reduced, rk = rref(mat)
+    expected, expected_rank = dense_rref(ref_input)
+    assert (reduced, rk) == (expected, expected_rank)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    assert mat == before and all(type(x) is type(y) for r, s in zip(mat, before)
+                                 for x, y in zip(r, s))
+
+
+def test_fraction_free_rref_on_rational_entries_matches_dense_elimination() -> None:
+    rng = random.Random(43)
+    for _ in range(80):
+        mat = rational_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        assert_fraction_free_rref_matches_reference(mat, mat)
+
+
+def test_fraction_free_rref_on_mixed_int_and_fraction_input() -> None:
+    rng = random.Random(47)
+    for _ in range(80):
+        mat = rational_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        assert_fraction_free_rref_matches_reference(mixed_entries(rng, mat), mat)
+    ints = [[0, 2, 4], [0, 0, 0], [3, 0, 3], [1, 2, 5]]
+    assert_fraction_free_rref_matches_reference(ints, [[F(x) for x in row] for row in ints])
+
+
+def test_fraction_free_rref_on_zero_rows_and_all_zero_matrices() -> None:
+    for nrows, ncols in [(1, 1), (3, 2), (2, 5)]:
+        zero = [[0] * ncols for _ in range(nrows)]
+        assert_fraction_free_rref_matches_reference(zero, [[F(0)] * ncols for _ in range(nrows)])
+    mat = [[F(0), F(0)], [F(1, 2), F(-1, 3)], [F(0), F(0)], [F(-3, 4), F(1, 2)]]
+    assert_fraction_free_rref_matches_reference(mat, mat)
+    assert rref(mat) == ([[F(1), F(-2, 3)], [F(0)] * 2, [F(0)] * 2, [F(0)] * 2], 1)
+
+
+def inserted_one_by_one(ambient: int, vectors: list[list]) -> Subspace:
+    space = Subspace(ambient)
+    for vec in vectors:
+        space.insert(vec)
+    return space
+
+
+def spanning_vectors(rng: random.Random, ambient: int) -> list[list]:
+    """Random vectors plus zero vectors and linear combinations of earlier ones."""
+    vectors: list[list] = []
+    for _ in range(rng.randint(0, ambient + 2)):
+        kind = rng.random()
+        if kind < 0.15:
+            vectors.append([0] * ambient)
+        elif kind < 0.35 and vectors:
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            c = F(rng.randint(-3, 3), rng.randint(1, 3))
+            vectors.append([x + c * y for x, y in zip(a, b)])
+        else:
+            vectors.append([F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5
+                            else rng.randint(-2, 2) for _ in range(ambient)])
+    return vectors
+
+
+class TestBulkSubspace:
+    def test_matches_vector_by_vector_insertion(self) -> None:
+        rng = random.Random(53)
+        for _ in range(60):
+            ambient = rng.randint(1, 6)
+            vectors = spanning_vectors(rng, ambient)
+            bulk = Subspace(ambient, vectors)
+            one_by_one = inserted_one_by_one(ambient, vectors)
+            assert bulk.rows == one_by_one.rows
+            assert bulk.pivots == one_by_one.pivots
+            assert all(type(x) is Fraction for row in bulk.rows for x in row)
+
+    def test_dependent_and_zero_vectors_add_nothing(self) -> None:
+        vectors = [[F(0), F(0), F(0)], [F(1), F(2), F(3)], [F(2), F(4), F(6)], [0, 0, 0]]
+        space = Subspace(3, vectors)
+        assert space.dim == 1 and space.pivots == [0]
+        assert space.rows == [[F(1), F(2), F(3)]]
+        assert Subspace(3, [[0, 0, 0]]).dim == 0
+
+    def test_wrong_length_vector_raises(self) -> None:
+        with pytest.raises(ValueError):
+            Subspace(3, [[F(1), F(0), F(0)], [F(1), F(2)]])
+        with pytest.raises(ValueError):
+            Subspace(2, [[0, 0, 0]])
+
+    def test_sum_matches_insertion_based_sum(self) -> None:
+        rng = random.Random(59)
+        for _ in range(40):
+            ambient = rng.randint(1, 6)
+            u = Subspace(ambient, spanning_vectors(rng, ambient))
+            v = Subspace(ambient, spanning_vectors(rng, ambient))
+            expected = inserted_one_by_one(ambient, u.rows + v.rows)
+            total = u.sum_with(v)
+            assert total.rows == expected.rows and total.pivots == expected.pivots
+            # the operands keep their own rows
+            assert u == Subspace(ambient, u.rows) and v == Subspace(ambient, v.rows)
