@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from . import penrose
 from .gla import (GradedSL, SparseMat, elementary, graded_sl, smat_add_into,
@@ -222,32 +222,20 @@ class EmbeddingMaps:
     # -- linear maps -------------------------------------------------------
 
     def i_prime(self, x: SparseMat) -> SparseMat:
-        out: SparseMat = {}
-        for (a, b), v in x.items():
-            rows = (a + 1,) if a >= 2 else ((0,) if a == 0 else (1, 2))
-            c = b if b <= 1 else b + 1
-            for r in rows:
-                new = out.get((r, c), Fraction(0)) + frac(v)
-                if new:
-                    out[(r, c)] = new
-                else:
-                    del out[(r, c)]
+        # α(x) plus a copy of row 1 in row 2, which α leaves empty.
+        out = self.alpha(x)
+        smat_add_into(out, {(2, b + (b >= 2)): frac(v) for (a, b), v in x.items() if a == 1})
         return out
 
     def alpha(self, x: SparseMat) -> SparseMat:
         return {(a + (a >= 2), b + (b >= 2)): frac(v) for (a, b), v in x.items()}
 
     def beta(self, xt: SparseMat) -> SparseMat:
-        out: SparseMat = {}
-        for (a, b), v in xt.items():
-            if a == 2:
-                continue
-            pos = (a - (a > 2), b - (b >= 2))
-            new = out.get(pos, Fraction(0)) + frac(v)
-            if new:
-                out[pos] = new
-            else:
-                del out[pos]
+        # Columns ≠ 2 land on distinct positions; column 2 adds into column 1.
+        out = {(a - (a > 2), b - (b > 2)): frac(v) for (a, b), v in xt.items()
+               if a != 2 and b != 2}
+        smat_add_into(out, {(a - (a > 2), 1): frac(v) for (a, b), v in xt.items()
+                            if a != 2 and b == 2})
         return out
 
     def qmap(self, xt: SparseMat) -> SparseMat:
@@ -443,26 +431,34 @@ def module_F(n: int) -> ChainModule:
 
 
 def _constrained_module(module: ChainModule, name: str,
-                        residual: Callable[[Cochain], list[Fraction]]) -> ChainModule:
-    """Kernel of a linear condition inside a ChainModule, weight block by block."""
+                        residual: Callable[[Cochain], dict[Hashable, Fraction]]
+                        ) -> ChainModule:
+    """Kernel of a linear condition inside a ChainModule, weight block by block.
+
+    ``residual`` returns the nonzero entries of a cochain's residual, keyed
+    by condition.  Each block's kernel problem has one row per condition that
+    some basis element violates; a block that violates none keeps its space.
+    """
     spaces: dict[tuple[int, ...], Subspace] = {}
     for w in sorted(module.spaces):
-        rows = module.spaces[w].rows
-        basis = [cochain_from_block(module.alg, module.deg, w, row) for row in rows]
-        residuals = [residual(c) for c in basis]
-        nres = len(residuals[0])
-        mat = [[residuals[k][r] for k in range(len(basis))] for r in range(nres)]
+        space = module.spaces[w]
+        residuals = [residual(cochain_from_block(module.alg, module.deg, w, row))
+                     for row in space.rows]
+        violated = sorted({key for res in residuals for key in res})
+        if not violated:
+            spaces[w] = space
+            continue
+        mat = [[res.get(key, 0) for res in residuals] for key in violated]
         new_rows = []
-        for kv in (kernel_basis(mat) if nres else
-                   [_unit(len(basis), k) for k in range(len(basis))]):
-            new_row = zero_vector(len(rows[0]))
-            for coeff, brow in zip(kv, rows):
+        for kv in kernel_basis(mat):
+            new_row = zero_vector(space.ambient)
+            for coeff, brow in zip(kv, space.rows):
                 if coeff:
                     for idx, bv in enumerate(brow):
                         if bv:
                             new_row[idx] += coeff * bv
             new_rows.append(new_row)
-        sub = Subspace(len(rows[0]), new_rows)
+        sub = Subspace(space.ambient, new_rows)
         if sub.dim:
             spaces[w] = sub
     return ChainModule(name, module.alg, module.deg, spaces)
@@ -723,16 +719,14 @@ def _ag_bracket_identity(n: int) -> tuple[int, tuple[str, ...]]:
             phi_mat = g.basis_mat(v)
             lhs = smat_bracket(pz, maps.i_prime(phi_mat))
             rhs = dict(maps.alpha(smat_bracket(z, phi_mat)))
+            corr = {}
             for k in range(n):
                 cf = sum((phi_mat.get((1, c), Fraction(0))
                           * z.get((c, 2 + k), Fraction(0)) for c in range(2)),
                          Fraction(0))
                 if cf:
-                    new = rhs.get((2, 3 + k), Fraction(0)) - cf
-                    if new:
-                        rhs[(2, 3 + k)] = new
-                    else:
-                        del rhs[(2, 3 + k)]
+                    corr[(2, 3 + k)] = cf
+            smat_add_into(rhs, corr, -1)
             cases += 1
             if smat_sub(lhs, rhs) and len(failures) < 4:
                 failures.append(f"bracket identity failed at Z=E{a}{b}, basis {v}")
@@ -757,12 +751,7 @@ def ag_costar_check(kappa: Cochain, maps: EmbeddingMaps | None = None) -> Report
     contraction: dict[tuple[int, int, int], Fraction] = {}
     for (a, ap, b, bp, c, d), v in w_block.data.items():
         if c == 1 and b == d:
-            key = (a, ap, bp)
-            new = contraction.get(key, Fraction(0)) + v
-            if new:
-                contraction[key] = new
-            else:
-                del contraction[key]
+            smat_add_into(contraction, {(a, ap, bp): v})
 
     rhs = Cochain(gt, 1)
     for j in range(gt.dim_neg):
@@ -770,12 +759,7 @@ def ag_costar_check(kappa: Cochain, maps: EmbeddingMaps | None = None) -> Report
         for (a, ap, cp), v in contraction.items():
             cf = maps.pi_cols[j][g.index_of_neg[(ap + 2, a)]]
             if cf:
-                pos = (2, 3 + cp)
-                new = mat.get(pos, Fraction(0)) - cf * v
-                if new:
-                    mat[pos] = new
-                else:
-                    del mat[pos]
+                smat_add_into(mat, {(2, 3 + cp): cf * v}, -1)
         if mat:
             rhs.add_term((j,), mat)
 
@@ -836,12 +820,9 @@ def verify_norm_modules(n: int) -> Report:
         "p̃_+⊗n1F", gt, 1,
         [((j,), v) for j in range(gt.dim_neg) for v in _n1f_value_indices(gt)])
 
-    def resid_e(c: Cochain) -> list[Fraction]:
-        out: list[Fraction] = []
-        for r in cls_p.rows:
-            val = _eval1(c, r)
-            out.extend(gt.coords(val) if val else zero_vector(gt.dim))
-        return out
+    def resid_e(c: Cochain) -> dict[tuple[int, int], Fraction]:
+        return {(r, idx): cf for r, row in enumerate(cls_p.rows)
+                for idx, cf in gt.sparse_coords(_eval1(c, row))}
 
     e_cond = _constrained_module(amb1, "E-conditions", resid_e)
     chk.check(e_cond.same_space(e_mod),
@@ -852,21 +833,18 @@ def verify_norm_modules(n: int) -> Report:
         "Λ²p̃_+⊗[g̃,n1F]", gt, 2,
         (Cochain(gt, 2, {T: mat}) for T in chain_tuples(gt, 2) for mat in bk_mats))
     n1f_idx = set(_n1f_value_indices(gt))
-    other_coords = [k for k in range(gt.dim) if k not in n1f_idx]
 
-    def resid_f(c: Cochain) -> list[Fraction]:
-        out: list[Fraction] = []
-        rows_p = cls_p.rows
-        for i1 in range(len(rows_p)):
-            for i2 in range(i1 + 1, len(rows_p)):
-                val = _eval2(c, rows_p[i1], rows_p[i2])
-                out.extend(gt.coords(val) if val else zero_vector(gt.dim))
-        for r in rows_p:
-            for s in cls_g.rows:
-                val = _eval2(c, r, s)
-                coords = gt.coords(val) if val else zero_vector(gt.dim)
-                out.extend(coords[k] for k in other_coords)
-        return out
+    # ψ(i'p, i'p) = 0 on every coordinate, ψ(i'p, i'g) = 0 off n1F.
+    rows_p = cls_p.rows
+    pairs = ([((0, i1, i2), r1, r2) for i1, r1 in enumerate(rows_p)
+              for i2, r2 in enumerate(rows_p) if i1 < i2]
+             + [((1, i1, i2), r, s) for i1, r in enumerate(rows_p)
+                for i2, s in enumerate(cls_g.rows)])
+
+    def resid_f(c: Cochain) -> dict[tuple[int, int, int, int], Fraction]:
+        return {key + (idx,): cf for key, r, s in pairs
+                for idx, cf in gt.sparse_coords(_eval2(c, r, s))
+                if key[0] == 0 or idx not in n1f_idx}
 
     f_cond = _constrained_module(amb2, "F-conditions", resid_f)
     chk.check(f_cond.same_space(f_mod),

@@ -54,8 +54,10 @@ def smat_add_into(acc: SparseMat, x: SparseMat, coeff=1) -> None:
     """acc += coeff·x, dropping entries that cancel to zero."""
     if not coeff:
         return
+    # An int coefficient 1 leaves v and its type as they are: skip the product.
+    unit = type(coeff) is int and coeff == 1
     for pos, v in x.items():
-        new = acc.get(pos, 0) + coeff * v
+        new = acc.get(pos, 0) + (v if unit else coeff * v)
         if new:
             acc[pos] = new
         else:
@@ -264,20 +266,20 @@ class GradedSL:
         w[b] -= 1
         return tuple(w)
 
-    def weight_split(self, x: SparseMat) -> dict[Weight, SparseMat]:
-        """Split into torus-weight components (diagonal part has weight 0)."""
-        out: dict[Weight, SparseMat] = {}
-        zero = (0,) * self.m
-        for (a, b), v in x.items():
-            w = zero if a == b else self.weight_of_position(a, b)
-            out.setdefault(w, {})[(a, b)] = v
-        return out
-
     # --- brackets -----------------------------------------------------------
 
     @staticmethod
     def bracket(x: SparseMat, y: SparseMat) -> SparseMat:
         return smat_bracket(x, y)
+
+    @cached_property
+    def action_coords(self) -> tuple[list[list[list[tuple[int, int]]]], ...]:
+        """(X, Z) with X[x][v] = sparse_coords([X^x, basis_v]) and
+        Z[t][v] = sparse_coords([Z_t, basis_v]).  Drives the first sums of
+        ∂ and ∂* on basis chains."""
+        basis = [self.basis_mat(v) for v in range(self.dim)]
+        return tuple([[self.sparse_coords(smat_bracket(lift(i), b)) for b in basis]
+                      for i in range(self.dim_neg)] for lift in (self.x_mat, self.z_mat))
 
     @cached_property
     def neg_pair_coords(self) -> dict[int, list[tuple[int, int, int]]]:

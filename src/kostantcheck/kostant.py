@@ -29,15 +29,19 @@ operators below are written on that representation:
 Both operators commute with the torus of diagonal matrices, so every
 linear-algebra question is solved block-per-weight; chain spaces of a few
 thousand dimensions then decompose into blocks of at most a few dozen.
+The Hodge decomposition assembles those blocks with ``operator_block``
+straight from the algebra's bracket tables; ``partial`` and ``costar`` on
+cochains serve everything else and are the reference for the blocks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .gla import (
     GradedSL,
@@ -148,10 +152,6 @@ class Cochain:
 
     def __repr__(self) -> str:
         return f"Cochain(deg={self.deg}, terms={len(self.data)})"
-
-
-def zero_cochain(alg: GradedSL, deg: int) -> Cochain:
-    return Cochain(alg, deg)
 
 
 def basis_cochain(alg: GradedSL, deg: int, indices: tuple[int, ...], v_idx: int) -> Cochain:
@@ -476,27 +476,68 @@ class ChainModule:
 
 
 def operator_block(structure_in: BlockStructure, structure_out: BlockStructure,
-                   op: Callable[[Cochain], Cochain], w: Weight) -> list[list[int | Fraction]]:
-    """Matrix of a weight-preserving operator on one weight block.
+                   w: Weight) -> list[list[int]]:
+    """Matrix of ∂ (one degree up) or ∂* (one degree down) on one weight block.
 
     Rows index the target block, columns the source block; an empty source
-    or target block yields a matrix with zero columns or rows.  The nonzero
-    coordinates of each image are scattered straight into the matrix, whose
-    entries stay ``int`` for the integer operators ∂, ∂* and □.
+    or target block yields a matrix with zero columns or rows.  The column
+    of a label (T, v) is the image of Z_T ⊗ basis_v, read straight off the
+    algebra's tables (``action_coords`` with ``neg_pair_coords`` for ∂, with
+    ``pos_pair_coords`` for ∂*) with the signs of :func:`partial` and
+    :func:`costar` taken on sorted tuples.  Entries are ``int``.
     """
+    terms = {1: _partial_terms, -1: _costar_terms}.get(structure_out.deg - structure_in.deg)
+    if terms is None:
+        raise ValueError("operator_block maps one degree up (∂) or one down (∂*)")
     alg = structure_in.alg
     pos_of = structure_out.pos_of
     cols = structure_in.labels.get(w, [])
     mat = [[0] * len(cols) for _ in range(structure_out.block_dim(w))]
     for col, (T, v) in enumerate(cols):
-        image = op(Cochain(alg, structure_in.deg, {T: alg.basis_mat(v)}))
-        for S, u in image.data.items():
-            for idx, cf in alg.sparse_coords(u):
-                wv, i = pos_of[(S, idx)]
-                if wv != w:
-                    raise AssertionError("operator did not preserve the weight")
-                mat[i][col] = cf
+        for S, idx, cf in terms(alg, T, v):
+            wv, i = pos_of[(S, idx)]
+            if wv != w:
+                raise AssertionError("operator did not preserve the weight")
+            mat[i][col] += cf
     return mat
+
+
+def _partial_terms(alg: GradedSL, T: tuple[int, ...], v: int):
+    """Terms (S, index, coefficient) of ∂(Z_T ⊗ basis_v), S increasing."""
+    x_action = alg.action_coords[0]
+    for x in range(alg.dim_neg):
+        if x in T:
+            continue
+        pos = bisect_left(T, x)
+        S = T[:pos] + (x,) + T[pos:]
+        for idx, cf in x_action[x][v]:
+            yield S, idx, -cf if pos % 2 else cf
+    neg_pairs = alg.neg_pair_coords
+    for q, s in enumerate(T):
+        rest = T[:q] + T[q + 1:]
+        for a, b, cf in neg_pairs.get(s, ()):
+            if a in rest or b in rest:
+                continue
+            S = tuple(sorted(rest + (a, b)))
+            yield S, v, -cf if (S.index(a) + S.index(b) + q) % 2 else cf
+
+
+def _costar_terms(alg: GradedSL, T: tuple[int, ...], v: int):
+    """Terms (S, index, coefficient) of ∂*(Z_T ⊗ basis_v), S increasing."""
+    z_action = alg.action_coords[1]
+    for i, t in enumerate(T):
+        S = T[:i] + T[i + 1:]
+        for idx, cf in z_action[t][v]:
+            yield S, idx, cf if i % 2 else -cf
+    pos_pairs = alg.pos_pair_coords
+    for i in range(len(T)):
+        for j in range(i + 1, len(T)):
+            rest = T[:i] + T[i + 1:j] + T[j + 1:]
+            for s, cf in pos_pairs.get((T[i], T[j]), ()):
+                if s in rest:
+                    continue
+                k = bisect_left(rest, s)
+                yield rest[:k] + (s,) + rest[k:], v, -cf if (i + j + k) % 2 else cf
 
 
 def _kernel_space(mat: list[list[int | Fraction]], ncols: int) -> Subspace:
@@ -539,10 +580,10 @@ def hodge(blocks: tuple[int, ...], deg: int = 2) -> HodgeData:
 
     for w, labs in here.labels.items():
         dim_here = len(labs)
-        d_up = operator_block(here, above, partial, w)
-        s_down = operator_block(here, below, costar, w)
-        d_in = operator_block(below, here, partial, w)
-        s_in = operator_block(above, here, costar, w)
+        d_up = operator_block(here, above, w)
+        s_down = operator_block(here, below, w)
+        d_in = operator_block(below, here, w)
+        s_in = operator_block(above, here, w)
 
         im_costar[w] = _column_space(s_in) if above.block_dim(w) else Subspace(dim_here)
         im_partial[w] = _column_space(d_in) if below.block_dim(w) else Subspace(dim_here)

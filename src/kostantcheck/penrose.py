@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .gla import GradedSL, graded_sl
+from .gla import GradedSL, graded_sl, smat_add_into
 from .kostant import ChainModule, Cochain, chain_tuples, hodge
 from .ratlin import frac
 
@@ -79,11 +79,7 @@ class EFTensor:
         for k, i in enumerate(idx):
             if not 0 <= i < self.slot_dim(k):
                 raise ValueError(f"index {i} out of range in slot {k}")
-        new = self.data.get(idx, Fraction(0)) + value
-        if new:
-            self.data[idx] = new
-        else:
-            del self.data[idx]
+        smat_add_into(self.data, {idx: value})
 
     def get(self, idx: Sequence[int]) -> Fraction:
         return self.data.get(tuple(idx), Fraction(0))

@@ -40,26 +40,8 @@ def zero_vector(n: int) -> Vector:
     return [Fraction(0)] * n
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def mat_vec(mat: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Vector:
     return [sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), Fraction(0)) for row in mat]
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    cols = len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(len(a))]
-    for i, row in enumerate(a):
-        for k, x in enumerate(row):
-            if x:
-                brow = b[k]
-                orow = out[i]
-                for j in range(cols):
-                    if brow[j]:
-                        orow[j] += x * brow[j]
-    return out
 
 
 def _integer_row(row: Sequence[int | Fraction]) -> list[int]:

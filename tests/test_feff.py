@@ -28,6 +28,7 @@ import pytest
 
 from kostantcheck.feff import (
     INFEASIBLE,
+    _constrained_module,
     EmbeddingMaps,
     MapConstructionError,
     ag_costar_check,
@@ -51,7 +52,9 @@ from kostantcheck.feff import (
     verify_transfer_memberships,
 )
 from kostantcheck.gla import elementary, graded_sl, smat_bracket, smat_trace_pair
-from kostantcheck.kostant import Cochain, costar, hodge, partial
+from kostantcheck.kostant import (ChainModule, Cochain, block_structure, blocked_coords,
+                                  cochain_from_block, costar, hodge, partial)
+from kostantcheck.ratlin import Subspace, kernel_basis, zero_vector
 
 F = Fraction
 
@@ -75,6 +78,11 @@ class TestEmbeddingMaps:
         assert maps.alpha(elementary(1, 2)) == {(1, 3): F(1)}
         assert maps.beta(elementary(1, 2)) == {(1, 1): F(1)}
         assert maps.beta(maps.alpha(elementary(1, 2))) == {(1, 2): F(1)}
+        # columns 1 and 2 merge: their entries add, and cancel to nothing
+        assert maps.beta({(0, 1): 1, (0, 2): 2, (3, 2): 5}) == {(0, 1): F(3), (2, 1): F(5)}
+        assert maps.beta({(1, 1): 1, (1, 2): -1}) == {}
+        for img in (maps.beta({(0, 1): 1, (0, 2): 2}), maps.i_prime({(1, 0): 1, (2, 3): 2})):
+            assert img and all(type(v) is Fraction for v in img.values())
 
     @pytest.mark.parametrize("n,source", [(2, "path"), (3, "path"), (3, "ag")])
     def test_qmap_inverts_i_prime(self, n: int, source: str) -> None:
@@ -167,6 +175,81 @@ class TestNamedModules:
 
     def test_e2_inside_e(self) -> None:
         assert module_E2(3).is_contained_in(module_E(3))
+
+
+def dense_constrained_module(module, name, residual):
+    """Reference kernel problem: ``residual`` returns every condition's
+    value, zero or not, and each block solves against all conditions."""
+    spaces = {}
+    for w in sorted(module.spaces):
+        rows = module.spaces[w].rows
+        basis = [cochain_from_block(module.alg, module.deg, w, row) for row in rows]
+        residuals = [residual(c) for c in basis]
+        nres = len(residuals[0])
+        mat = [[residuals[k][r] for k in range(len(basis))] for r in range(nres)]
+        new_rows = []
+        for kv in (kernel_basis(mat) if nres else
+                   [[int(i == k) for i in range(len(basis))] for k in range(len(basis))]):
+            new_row = zero_vector(len(rows[0]))
+            for coeff, brow in zip(kv, rows):
+                if coeff:
+                    for idx, bv in enumerate(brow):
+                        if bv:
+                            new_row[idx] += coeff * bv
+            new_rows.append(new_row)
+        sub = Subspace(len(rows[0]), new_rows)
+        if sub.dim:
+            spaces[w] = sub
+    return ChainModule(name, module.alg, module.deg, spaces)
+
+
+class TestConstrainedModule:
+    """The sparse kernel problem against the dense reference, on linear
+    conditions given as sparse functionals of the block coordinates (w, i)."""
+
+    @staticmethod
+    def residuals(conditions):
+        """The sparse and the dense residual of a list of conditions."""
+        def dense(c: Cochain) -> list:
+            coords = blocked_coords(c)
+            return [sum((cf * coords[w][i] for (w, i), cf in cond.items() if w in coords), 0)
+                    for cond in conditions]
+
+        def sparse(c: Cochain) -> dict:
+            return {k: v for k, v in enumerate(dense(c)) if v}
+
+        return sparse, dense
+
+    @pytest.mark.parametrize("builder", [module_E, module_F])
+    def test_matches_the_dense_reference(self, builder) -> None:
+        module = builder(3)
+        rng = random.Random(101)
+        positions = sorted((w, i) for w, s in module.spaces.items() for i in range(s.ambient))
+        ambient = block_structure(module.alg.blocks, module.deg)
+        outside = sorted((w, i) for w, labs in ambient.labels.items()
+                         if w not in module.spaces for i in range(len(labs)))
+        # nothing violates a functional on blocks outside the module; every
+        # basis element violates the sum of the pivot coordinates (each
+        # echelon row has a 1 at its own pivot and 0 at the others)
+        nothing = {pos: 1 for pos in rng.sample(outside, 5)}
+        everything = {(w, p): 1 for w, s in module.spaces.items() for p in s.pivots}
+        cases = [([nothing], module.dim), ([everything], module.dim - len(module.spaces))]
+        for _ in range(4):
+            conditions = [{pos: rng.choice((-2, -1, 1, 3))
+                           for pos in rng.sample(positions, rng.randint(1, 4))}
+                          for _ in range(rng.randint(2, 12))]
+            cases += [(conditions + extra, None)
+                      for extra in ([], [nothing], [everything], [nothing, everything])]
+        for conditions, expected_dim in cases:
+            sparse, dense = self.residuals(conditions)
+            got = _constrained_module(module, "sparse", sparse)
+            want = dense_constrained_module(module, "dense", dense)
+            assert got.spaces.keys() == want.spaces.keys()
+            for w, space in want.spaces.items():
+                assert got.spaces[w].rows == space.rows
+                assert got.spaces[w].pivots == space.pivots
+            if expected_dim is not None:
+                assert got.dim == expected_dim
 
 
 class TestNormalityDefect:

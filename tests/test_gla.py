@@ -85,6 +85,19 @@ def test_bracket_antisymmetry_random() -> None:
         assert acc == {}
 
 
+def test_add_into_keeps_the_value_types_of_the_product() -> None:
+    """coeff·v decides each new value's type, also for coefficient 1."""
+    x = {(0, 1): 2, (1, 0): F(3, 2)}
+    for coeff in (1, F(1), -1, 2):
+        acc: dict = {}
+        smat_add_into(acc, x, coeff)
+        assert acc == {pos: coeff * v for pos, v in x.items()}
+        assert [type(v) for v in acc.values()] == [type(coeff * v) for v in x.values()]
+    acc = {(0, 1): -2, (1, 1): 7}
+    smat_add_into(acc, x)
+    assert acc == {(1, 1): 7, (1, 0): F(3, 2)}
+
+
 def test_jacobi_exhaustive_sl4() -> None:
     assert jacobi_holds(4)
 
@@ -95,8 +108,6 @@ def test_sparse_bracket_matches_dense_commutator() -> None:
     for _ in range(15):
         xd = [[F(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
         yd = [[F(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
-        from kostantcheck.ratlin import mat_mul
-
         dense = [[sum(xd[i][k] * yd[k][j] - yd[i][k] * xd[k][j] for k in range(m))
                   for j in range(m)] for i in range(m)]
         sparse = smat_bracket(smat_from_dense(xd), smat_from_dense(yd))
@@ -256,16 +267,6 @@ class TestWeights:
         # a diagonal bracket result carries weight zero
         assert alg.weight_of_position(0, 1) == (1, -1, 0, 0)
 
-    def test_weight_split_reassembles(self) -> None:
-        alg = graded_sl((2, 3))
-        x = {(0, 1): F(2), (1, 0): F(-1), (0, 0): F(1), (4, 4): F(-1), (2, 0): F(5)}
-        parts = alg.weight_split(x)
-        acc: dict = {}
-        for part in parts.values():
-            smat_add_into(acc, part)
-        assert acc == x
-        assert parts[(0,) * alg.m] == {(0, 0): F(1), (4, 4): F(-1)}
-
 
 class TestPairTables:
     def test_neg_pair_table_frozen_entry(self) -> None:
@@ -297,3 +298,12 @@ class TestPairTables:
                 for t, c in alg.pos_pair_coords.get((a, b), []):
                     smat_add_into(expansion, alg.z_mat(t), c)
                 assert expansion == zbr
+        for x in range(alg.dim_neg):
+            for v in range(alg.dim):
+                for table, y in ((alg.action_coords[0], alg.x_mat(x)),
+                                 (alg.action_coords[1], alg.z_mat(x))):
+                    dense = [F(0)] * alg.dim
+                    for idx, c in table[x][v]:
+                        assert c and type(c) is int
+                        dense[idx] = c
+                    assert dense == reference_coords(alg, smat_bracket(y, alg.basis_mat(v)))

@@ -16,9 +16,7 @@ import pytest
 from kostantcheck.ratlin import (
     Subspace,
     frac,
-    identity_matrix,
     kernel_basis,
-    mat_mul,
     mat_vec,
     rank,
     rref,
@@ -63,7 +61,7 @@ def test_rref_frozen_example() -> None:
 
 
 def test_rref_identity_fixed_point() -> None:
-    eye = identity_matrix(4)
+    eye = [[F(int(i == j)) for j in range(4)] for i in range(4)]
     reduced, rk = rref(eye)
     assert reduced == eye and rk == 4
 
@@ -159,7 +157,7 @@ def test_rref_does_not_mutate_its_input() -> None:
 def test_all_zero_matrix() -> None:
     zero = [[F(0)] * 3 for _ in range(2)]
     assert rref(zero) == (zero, 0)
-    assert kernel_basis(zero) == identity_matrix(3)
+    assert kernel_basis(zero) == [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
 
 
 def test_kernel_of_sparse_matrices_with_zero_rows() -> None:
@@ -192,14 +190,6 @@ def test_solve_random_consistency() -> None:
         found = solve(mat, rhs)
         assert found is not None
         assert mat_vec(mat, found) == rhs
-
-
-def test_mat_mul_associative_spot() -> None:
-    rng = random.Random(23)
-    a = random_matrix(rng, 3, 4)
-    b = random_matrix(rng, 4, 2)
-    c = random_matrix(rng, 2, 5)
-    assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
 
 
 class TestSubspace:
