@@ -1,14 +1,17 @@
 """The named verification suites behind the command-line harness.
 
 Each check is a function (n, rng, trials) → Report running one suite of
-exact comparisons at size n.  Sampling — where a suite calls for random
-elements — draws integer coefficients in [−9, 9] from the supplied seeded
-generator and combines echelon basis vectors of the relevant submodule, so
-every run with the same (check, n, seed, trials) performs bit-for-bit the
-same arithmetic.  Checks built on the almost-Grassmannian source require
-n ≥ 3; the rest require n ≥ 2.  :func:`run_check` returns None for a cell
-outside its check's window, and ranged drivers skip such cells silently; a
-cell inside its window that ran no cases fails.
+exact comparisons at size n; suites that sample nothing ignore rng and
+trials, so :data:`CHECKS` maps names straight to the feff sweeps, and
+:func:`run_check` stamps the name on the Report.  Sampling — where a suite
+calls for random elements — draws integer coefficients in [−9, 9] from the
+supplied seeded generator and combines echelon basis vectors of the
+relevant submodule, so every run with the same (check, n, seed, trials)
+performs bit-for-bit the same arithmetic.  Checks built on the
+almost-Grassmannian source require n ≥ 3 and the rest n ≥ 2, as
+``feff.SOURCES`` sets.  :func:`run_check` returns None for a cell outside
+its check's window, and ranged drivers skip such cells silently; a cell
+inside its window that ran no cases fails.
 """
 
 from __future__ import annotations
@@ -17,36 +20,37 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from typing import Callable
 
-from .feff import (INFEASIBLE, Report, _Checker, ag_costar_check, build_maps,
-                   module_E, module_E2, normalize_step, transfer,
-                   verify_beta_and_second_sum, verify_harmonic_types,
+from .feff import (INFEASIBLE, SOURCES, Report, _Checker, ag_costar_check,
+                   build_maps, module_E, module_E2, normalize_step, p_indices,
+                   transfer, verify_beta_and_second_sum, verify_harmonic_types,
                    verify_lemma_path, verify_norm_modules,
                    verify_path_normality, verify_torsion_transfer,
                    verify_transfer_memberships)
 from .gla import (grading_axiom_holds, graded_sl, jacobi_holds,
-                  negative_part_generated_by_deg_minus_one)
+                  negative_part_generated_by_deg_minus_one, smat_add_into)
 from .kostant import (ChainModule, Cochain, basis_cochain, chain_tuples,
                       costar, costar_two_form, homogeneity, homogeneity_split,
                       hodge, partial)
 from .penrose import (TRACE_SIG, W_SIG, WP_SIG, EFTensor, extract_blocks,
                       ric_from_rho, rho_cochain, rho_from_ric, sym_split,
-                      tr_W, tr_Wp, weyl_from_curvature, zero_tensor)
+                      tr_W, tr_Wp, weyl_from_curvature)
+
+
+_PATH_N, _AG_N = SOURCES["path"][1], SOURCES["ag"][1]
 
 
 def _configs(n: int) -> list[tuple[int, ...]]:
     """The four block gradings in play at size n: the path source, the
     almost-Grassmannian source, the common target, and its fine regrading."""
-    return [(1, 1, n), (2, n), (2, n + 1), (2, 1, n)]
+    return [blocks(n) for blocks, _ in SOURCES.values()] + [(2, n + 1), (2, 1, n)]
 
 
 def _chain_configs(n: int) -> list[tuple[int, ...]]:
-    """Gradings whose degree-2 chain complex the suites sweep."""
-    out = [(1, 1, n)]
-    if n >= 3:
-        out.append((2, n))
-    out.append((2, n + 1))
-    return out
+    """Gradings whose degree-2 chain complex the suites sweep: each source
+    from its smallest n on, then the target."""
+    return [blocks(n) for blocks, min_n in SOURCES.values() if n >= min_n] + [(2, n + 1)]
 
 
 def _tag(blocks: tuple[int, ...]) -> str:
@@ -90,7 +94,7 @@ def check_jacobi(n: int, rng: random.Random, trials: int) -> Report:
                   f"grading axiom failed for blocks {blocks}")
         chk.check(negative_part_generated_by_deg_minus_one(alg),
                   f"g_- not generated by g_-1 for blocks {blocks}")
-    return chk.report("jacobi", n, {})
+    return chk.report(n)
 
 
 def check_hodge(n: int, rng: random.Random, trials: int) -> Report:
@@ -120,7 +124,7 @@ def check_hodge(n: int, rng: random.Random, trials: int) -> Report:
                   f"{tag}: ker∂ differs from ker□ ⊕ im∂")
         details[f"{tag}_chain_dim"] = hd.total_dim
         details[f"{tag}_harmonic_dim"] = hd.ker_box.dim
-    return chk.report("hodge", n, details)
+    return chk.report(n, details)
 
 
 def check_codiff_lift(n: int, rng: random.Random, trials: int) -> Report:
@@ -144,21 +148,11 @@ def check_codiff_lift(n: int, rng: random.Random, trials: int) -> Report:
                     c = basis_cochain(alg, deg, T, v)
                     chk.check(costar(costar(c)).is_zero(),
                               f"{tag}: ∂*∂* ≠ 0 at degree {deg}, {T}, value {v}")
-        p_mats = [alg.basis_mat(i) for i, lab in enumerate(alg.basis_labels)
-                  if lab[0] == "H" or alg.degree_of_position(lab[1], lab[2]) >= 0]
-        extras = []
-        for _ in range(alg.dim_neg):
-            extra: dict[tuple[int, int], Fraction] = {}
+        p_mats = [alg.basis_mat(i) for i in p_indices(alg)]
+        extras: list[dict] = [{} for _ in range(alg.dim_neg)]
+        for extra in extras:
             for mat in p_mats:
-                k = rng.randint(-9, 9)
-                if k:
-                    for pos, val in mat.items():
-                        new = extra.get(pos, Fraction(0)) + k * val
-                        if new:
-                            extra[pos] = new
-                        else:
-                            del extra[pos]
-            extras.append(extra)
+                smat_add_into(extra, mat, rng.randint(-9, 9))
         for T in chain_tuples(alg, 2):
             for v in range(alg.dim):
                 c = basis_cochain(alg, 2, T, v)
@@ -171,25 +165,12 @@ def check_codiff_lift(n: int, rng: random.Random, trials: int) -> Report:
                 for img in (partial(c), wedge):
                     chk.check(set(homogeneity_split(img)) <= {h},
                               f"{tag}: homogeneity not preserved at {T}, {v}")
-    return chk.report("codiff-lift", n, {})
+    return chk.report(n)
 
 
 # ---------------------------------------------------------------------------
-# Transfer suites (wrappers around the feff sweeps)
+# Transfer suites
 # ---------------------------------------------------------------------------
-
-
-def check_bianchi_path(n: int, rng: random.Random, trials: int) -> Report:
-    rep = verify_lemma_path(n)
-    return Report("bianchi-path", n, rep.ok, rep.cases, rep.failures, rep.details)
-
-
-def check_path_normality(n: int, rng: random.Random, trials: int) -> Report:
-    return verify_path_normality(n)
-
-
-def check_beta_secondsum(n: int, rng: random.Random, trials: int) -> Report:
-    return verify_beta_and_second_sum(n)
 
 
 def check_ag_costar(n: int, rng: random.Random, trials: int) -> Report:
@@ -203,13 +184,9 @@ def check_ag_costar(n: int, rng: random.Random, trials: int) -> Report:
         chk.cases += rep.cases
         for msg in rep.failures:
             chk.failures.append(f"trial {trial}: {msg}")
-    return chk.report("ag-costar", n, {
+    return chk.report(n, {
         "trials": trials, "ker_costar_dim": len(basis),
     })
-
-
-def check_norm_modules(n: int, rng: random.Random, trials: int) -> Report:
-    return verify_norm_modules(n)
 
 
 def check_normalize_step(n: int, rng: random.Random, trials: int) -> Report:
@@ -257,31 +234,26 @@ def check_normalize_step(n: int, rng: random.Random, trials: int) -> Report:
             if phi2 is not INFEASIBLE:
                 chk.check(costar(partial(phi2)).add(r1).is_zero(),
                           f"second pass left a residual at trial {trial}")
-    return chk.report("normalize-step", n, {
+    return chk.report(n, {
         "E_dim": e_mod.dim, "E2_dim": e2_mod.dim,
     })
 
 
-def _merge_sources(name: str, n: int, reports: list[tuple[str, Report]]) -> Report:
-    ok = all(rep.ok for _, rep in reports)
-    cases = sum(rep.cases for _, rep in reports)
-    failures = [f"{src}: {msg}" for src, rep in reports for msg in rep.failures]
-    details: dict[str, object] = {}
-    for src, rep in reports:
-        for key, val in rep.details.items():
-            details[f"{src}_{key}"] = val
-    return Report(name, n, ok, cases, failures, details)
+def _merge_sources(n: int, sweep: Callable[[int, str], Report]) -> Report:
+    """Run a two-source sweep on every source whose window holds n, merging
+    the reports with failures and details prefixed by the source."""
+    reports = [(src, sweep(n, src)) for src, (_, min_n) in SOURCES.items()
+               if n >= min_n]
+    return Report(
+        n=n, ok=all(rep.ok for _, rep in reports),
+        cases=sum(rep.cases for _, rep in reports),
+        failures=[f"{src}: {msg}" for src, rep in reports for msg in rep.failures],
+        details={f"{src}_{key}": val
+                 for src, rep in reports for key, val in rep.details.items()})
 
 
 def check_memberships(n: int, rng: random.Random, trials: int) -> Report:
-    reports = [("path", verify_transfer_memberships(n, "path"))]
-    if n >= 3:
-        reports.append(("ag", verify_transfer_memberships(n, "ag")))
-    return _merge_sources("memberships", n, reports)
-
-
-def check_torsion_transfer(n: int, rng: random.Random, trials: int) -> Report:
-    return verify_torsion_transfer(n)
+    return _merge_sources(n, verify_transfer_memberships)
 
 
 def check_rho_ricci(n: int, rng: random.Random, trials: int) -> Report:
@@ -292,7 +264,7 @@ def check_rho_ricci(n: int, rng: random.Random, trials: int) -> Report:
     2P − P^A_{B'}{}^B_{A'} and −nP + P^B_{A'}{}^A_{B'}."""
     chk = _Checker()
     alg = graded_sl((2, n))
-    zero_w, zero_wp = zero_tensor(W_SIG, n), zero_tensor(WP_SIG, n)
+    zero_w, zero_wp = EFTensor(W_SIG, n), EFTensor(WP_SIG, n)
     for trial in range(trials):
         p = _random_tensor(TRACE_SIG, n, rng)
         parts = sym_split(p)
@@ -322,35 +294,32 @@ def check_rho_ricci(n: int, rng: random.Random, trials: int) -> Report:
         w2, wp2 = weyl_from_curvature(r_e, r_f, p)
         chk.check(w2 == r_e.add(w) and wp2 == r_f.add(wp),
                   f"Weyl expansion is not affine in the curvatures at trial {trial}")
-    return chk.report("rho-ricci", n, {"trials": trials})
+    return chk.report(n, {"trials": trials})
 
 
 def check_harmonic_types(n: int, rng: random.Random, trials: int) -> Report:
-    reports = [("path", verify_harmonic_types(n, "path"))]
-    if n >= 3:
-        reports.append(("ag", verify_harmonic_types(n, "ag")))
-    return _merge_sources("harmonic-types", n, reports)
+    return _merge_sources(n, verify_harmonic_types)
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-#: check name → (smallest applicable n, runner).
-CHECKS: dict[str, tuple[int, object]] = {
-    "jacobi": (2, check_jacobi),
-    "hodge": (2, check_hodge),
-    "codiff-lift": (2, check_codiff_lift),
-    "bianchi-path": (2, check_bianchi_path),
-    "path-normality": (2, check_path_normality),
-    "beta-secondsum": (2, check_beta_secondsum),
-    "ag-costar": (3, check_ag_costar),
-    "norm-modules": (3, check_norm_modules),
-    "normalize-step": (3, check_normalize_step),
-    "memberships": (2, check_memberships),
-    "torsion-transfer": (2, check_torsion_transfer),
-    "rho-ricci": (3, check_rho_ricci),
-    "harmonic-types": (2, check_harmonic_types),
+#: check name → (smallest applicable n, runner (n, rng, trials) → Report).
+CHECKS: dict[str, tuple[int, Callable[[int, random.Random, int], Report]]] = {
+    "jacobi": (_PATH_N, check_jacobi),
+    "hodge": (_PATH_N, check_hodge),
+    "codiff-lift": (_PATH_N, check_codiff_lift),
+    "bianchi-path": (_PATH_N, verify_lemma_path),
+    "path-normality": (_PATH_N, verify_path_normality),
+    "beta-secondsum": (_PATH_N, verify_beta_and_second_sum),
+    "ag-costar": (_AG_N, check_ag_costar),
+    "norm-modules": (_AG_N, verify_norm_modules),
+    "normalize-step": (_AG_N, check_normalize_step),
+    "memberships": (_PATH_N, check_memberships),
+    "torsion-transfer": (_PATH_N, verify_torsion_transfer),
+    "rho-ricci": (_AG_N, check_rho_ricci),
+    "harmonic-types": (_PATH_N, check_harmonic_types),
 }
 
 CHECK_NAMES = tuple(CHECKS)
@@ -360,8 +329,9 @@ def run_check(name: str, n: int, seed: int, trials: int) -> Report | None:
     """Run one (check, n) cell; None when n is below the check's window.
 
     The generator is seeded from the full cell identity so that cells are
-    independent of execution order and of each other.  A cell that ran no
-    cases is reported as a failure, never as a pass.
+    independent of execution order and of each other.  The returned Report
+    carries the check name.  A cell that ran no cases is reported as a
+    failure, never as a pass.
     """
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}")
@@ -369,7 +339,7 @@ def run_check(name: str, n: int, seed: int, trials: int) -> Report | None:
     if n < min_n:
         return None
     rng = random.Random(f"{seed}:{name}:{n}")
-    rep = runner(n, rng, trials)
+    rep = replace(runner(n, rng, trials), name=name)
     if not rep.cases:
         rep = replace(rep, ok=False, failures=[*rep.failures, "the cell ran no cases"])
     return rep

@@ -28,11 +28,8 @@ import time
 
 from .checks import CHECK_NAMES, run_check
 from .cochain_io import CochainFormatError, load_cochain, save_cochain
-from .feff import Report, build_maps, transfer
+from .feff import SOURCES, Report, build_maps, transfer
 from .kostant import costar
-
-_SOURCES = {"path": ("(1, 1, n)", 2, lambda n: (1, 1, n)),
-            "ag": ("(2, n)", 3, lambda n: (2, n))}
 
 
 def _report_row(rep: Report) -> dict[str, object]:
@@ -103,11 +100,12 @@ def cmd_transfer(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     blocks = c.alg.blocks
-    shape, min_n, make_blocks = _SOURCES[args.source]
+    make_blocks, min_n = SOURCES[args.source]
     n = blocks[-1]
     if blocks != make_blocks(n) or n < min_n:
+        shape = ", ".join(map(str, make_blocks("n")))  # the grading, n symbolic
         print(f"error: a {args.source!r}-source cochain needs the grading "
-              f"{shape} with n >= {min_n}; the input has blocks "
+              f"({shape}) with n >= {min_n}; the input has blocks "
               f"{list(blocks)}", file=sys.stderr)
         return 2
     if c.deg != 2:
@@ -149,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_transfer = sub.add_parser(
         "transfer", help="transfer a source cochain to the (2, n+1) target")
     p_transfer.add_argument("--input", required=True)
-    p_transfer.add_argument("--source", required=True, choices=("path", "ag"))
+    p_transfer.add_argument("--source", required=True, choices=tuple(SOURCES))
     p_transfer.add_argument("--output", required=True)
     p_transfer.set_defaults(func=cmd_transfer)
     return parser

@@ -48,7 +48,11 @@ def _is_int(x: object) -> bool:
 
 def parse_rational(raw: object, where: str) -> Fraction:
     if isinstance(raw, str) and _RATIONAL.match(raw) or _is_int(raw):
-        return Fraction(raw)
+        try:
+            return Fraction(raw)
+        except ValueError as exc:  # more digits than Python's int-string limit
+            raise CochainFormatError(
+                f"{where}: rational longer than the integer-string limit") from exc
     raise CochainFormatError(f'{where}: expected a rational "p" or "p/q", got {raw!r}')
 
 
@@ -139,6 +143,13 @@ def load_cochain(path: str) -> Cochain:
         except json.JSONDecodeError as exc:
             raise CochainFormatError(
                 f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise CochainFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
+        except ValueError as exc:  # a JSON integer past the int-string limit
+            raise CochainFormatError(
+                f"{path}: integer longer than the integer-string limit") from exc
+        except RecursionError as exc:
+            raise CochainFormatError(f"{path}: nesting too deep") from exc
     return doc_to_cochain(doc)
 
 

@@ -22,7 +22,9 @@ On top of the maps this module houses the named submodules (A, B, h and
 the chain modules 𝔼, 𝔽, 𝔼⁽²⁾ of the normalization argument together with
 their path-grading analogues), curvature transfer, and one verification
 routine per transfer identity.  Each verify_* routine returns a Report
-listing the number of exact comparisons performed and the first failures.
+listing the number of exact comparisons performed and the first failures;
+the check registry stamps the name.  The single-source sweeps take the
+registry's (n, rng, trials) signature and ignore the last two.
 """
 
 from __future__ import annotations
@@ -51,14 +53,14 @@ class MapConstructionError(ValueError):
 
 @dataclass
 class Report:
-    """Outcome of one verification sweep of exact comparisons."""
+    """Outcome of one verification sweep; ``checks.run_check`` sets the name."""
 
-    name: str
     n: int
     ok: bool
     cases: int
     failures: list[str] = field(default_factory=list)
     details: dict[str, object] = field(default_factory=dict)
+    name: str = ""
 
 
 class _Checker:
@@ -73,8 +75,8 @@ class _Checker:
         if not ok and len(self.failures) < 8:
             self.failures.append(message)
 
-    def report(self, name: str, n: int, details: dict[str, object] | None = None) -> Report:
-        return Report(name=name, n=n, ok=not self.failures, cases=self.cases,
+    def report(self, n: int, details: dict[str, object] | None = None) -> Report:
+        return Report(n=n, ok=not self.failures, cases=self.cases,
                       failures=self.failures, details=details or {})
 
 
@@ -108,7 +110,8 @@ def _eval2(c: Cochain, c1: Sequence[Fraction], c2: Sequence[Fraction]) -> Sparse
 # The maps
 # ---------------------------------------------------------------------------
 
-_SOURCE_BLOCKS = {"path": lambda n: (1, 1, n), "ag": lambda n: (2, n)}
+#: source → (its block grading at size n, its smallest n).
+SOURCES = {"path": (lambda n: (1, 1, n), 2), "ag": (lambda n: (2, n), 3)}
 
 
 class EmbeddingMaps:
@@ -119,15 +122,14 @@ class EmbeddingMaps:
     """
 
     def __init__(self, n: int, source: str) -> None:
-        if source not in _SOURCE_BLOCKS:
+        if source not in SOURCES:
             raise ValueError("source must be 'path' or 'ag'")
-        if source == "path" and n < 2:
-            raise ValueError("path source needs n >= 2")
-        if source == "ag" and n < 3:
-            raise ValueError("ag source needs n >= 3")
+        blocks, min_n = SOURCES[source]
+        if n < min_n:
+            raise ValueError(f"{source} source needs n >= {min_n}")
         self.n = n
         self.source = source
-        self.g = graded_sl(_SOURCE_BLOCKS[source](n))
+        self.g = graded_sl(blocks(n))
         self.gt = graded_sl((2, n + 1))
         self.gt_fine = graded_sl((2, 1, n))
         self.m = self.g.m            # n + 2
@@ -291,6 +293,11 @@ def b_indices(g: GradedSL) -> list[int]:
             if (lab[0] == "E" and lab[2] >= 1) or (lab[0] == "H" and lab[1] >= 1)]
 
 
+def p_indices(g: GradedSL) -> list[int]:
+    """Basis indices of the parabolic p (degree ≥ 0), listed after g_-."""
+    return list(range(g.dim_neg, g.dim))
+
+
 def q0_indices(g: GradedSL) -> list[int]:
     """Basis indices of the degree-0 part."""
     return [i for i, lab in enumerate(g.basis_labels)
@@ -352,6 +359,27 @@ def module_E_path(n: int) -> ChainModule:
               if _path_pair_type(n, T) in (("2", "V"), ("2", "2"))
               for v in a_idx]
     return ChainModule.from_labels("E-path", g, 2, labels)
+
+
+@lru_cache(maxsize=None)
+def module_no_vv_path(n: int) -> ChainModule:
+    """The chains with no Λ²q_1^V component."""
+    g = graded_sl((1, 1, n))
+    return ChainModule.from_labels(
+        "no-V-V", g, 2,
+        [(T, v) for T in chain_tuples(g, 2)
+         if _path_pair_type(n, T) != ("V", "V") for v in range(g.dim)])
+
+
+@lru_cache(maxsize=None)
+def module_rho_path(n: int, semisimple: bool = False) -> ChainModule:
+    """q_1^V∧q_2 ⊗ q_0, or ⊗ q_0^{ss} when ``semisimple``."""
+    g = graded_sl((1, 1, n))
+    values = q0ss_indices(g) if semisimple else q0_indices(g)
+    return ChainModule.from_labels(
+        "V-2-q0ss" if semisimple else "V-2-q0", g, 2,
+        [(T, v) for T in chain_tuples(g, 2)
+         if _path_pair_type(n, T) == ("2", "V") for v in values])
 
 
 @lru_cache(maxsize=None)
@@ -520,7 +548,7 @@ def normality_defect(phi: Cochain, maps: EmbeddingMaps) -> Cochain:
     return out
 
 
-def verify_path_normality(n: int) -> Report:
+def verify_path_normality(n: int, rng: object = None, trials: int = 0) -> Report:
     """∂̃*(transfer φ) = α∘(∂*φ)∘π, in the exact form in which it holds.
 
     The identity as displayed holds on the curvature module 𝔽 (verified on a
@@ -582,7 +610,7 @@ def verify_path_normality(n: int) -> Report:
                       f"bracket correction locus wrong at Z=E{a}{b}, W basis {v}")
             if corr:
                 bracket_defects += 1
-    return chk.report("path-normality", n, {
+    return chk.report(n, {
         "module_dim": module.dim,
         "curvature_module_dim": f_mod.dim,
         "literal_defects": literal_defects,
@@ -590,7 +618,7 @@ def verify_path_normality(n: int) -> Report:
     })
 
 
-def verify_beta_and_second_sum(n: int) -> Report:
+def verify_beta_and_second_sum(n: int, rng: object = None, trials: int = 0) -> Report:
     """β([π*(Z), i′(W)]) = [Z, W] for all basis pairs, and the second-sum
     evaluation −Σ_i φ([Z_i, X], X^i): zero for X of degree ≥ −1 and equal to
     2 φ(X_E, X_V) for X = [X_E, X_V]."""
@@ -645,10 +673,10 @@ def verify_beta_and_second_sum(n: int) -> Report:
                 chk.check(not smat_sub(got, want),
                           f"second sum mismatch for [X_E, X_V], V={iv}, "
                           f"phi=({T},{v})")
-    return chk.report("beta-secondsum", n)
+    return chk.report(n)
 
 
-def verify_lemma_path(n: int) -> Report:
+def verify_lemma_path(n: int, rng: object = None, trials: int = 0) -> Report:
     """Stability of 𝔽 under insertions, vanishing of insertions on 𝔼,
     harmonic containment in 𝔽, and the semisimple-value refinement.
 
@@ -661,7 +689,6 @@ def verify_lemma_path(n: int) -> Report:
     fails (the two spaces have equal dimension but different span); the
     report records this computed fact.
     """
-    g = graded_sl((1, 1, n))
     chk = _Checker()
     f_mod, e_mod = module_F_path(n), module_E_path(n)
     f_basis = f_mod.basis_cochains()
@@ -675,26 +702,15 @@ def verify_lemma_path(n: int) -> Report:
             chk.check(insertion(phi, psi).is_zero(),
                       f"insertion nonzero on E pair ({r},{s})")
     hd = hodge((1, 1, n), 2)
-    not_vv = ChainModule.from_labels(
-        "no-V-V", g, 2,
-        [(T, v) for T in chain_tuples(g, 2)
-         if _path_pair_type(n, T) != ("V", "V") for v in range(g.dim)])
-    harm_inv = hd.ker_box.intersect(not_vv, "harmonic-involutive")
+    harm_inv = hd.ker_box.intersect(module_no_vv_path(n), "harmonic-involutive")
     chk.check(harm_inv.is_contained_in(f_mod),
               "harmonic space (vanishing on Λ²V) not inside F")
-    rho_amb = ChainModule.from_labels(
-        "V-2-q0", g, 2,
-        [(T, v) for T in chain_tuples(g, 2)
-         if _path_pair_type(n, T) == ("2", "V") for v in q0_indices(g)])
-    rho_ss = ChainModule.from_labels(
-        "V-2-q0ss", g, 2,
-        [(T, v) for T in chain_tuples(g, 2)
-         if _path_pair_type(n, T) == ("2", "V") for v in q0ss_indices(g)])
+    rho_amb, rho_ss = module_rho_path(n), module_rho_path(n, semisimple=True)
     harmonic_part = rho_amb.intersect(hd.ker_box, "V-2-q0∩ker□")
     chk.check(harmonic_part.is_contained_in(rho_ss),
               "(V∧2⊗q_0)∩ker□ is not q_0^{ss}-valued")
     costar_part = rho_amb.intersect(hd.ker_costar, "V-2-q0∩ker∂*")
-    return chk.report("lemma-path", n, {
+    return chk.report(n, {
         "F_dim": f_mod.dim, "E_dim": e_mod.dim,
         "harmonic_dim": hd.ker_box.dim,
         "harmonic_nonvv_dim": harm_inv.dim,
@@ -771,13 +787,13 @@ def ag_costar_check(kappa: Cochain, maps: EmbeddingMaps | None = None) -> Report
     br_cases, br_failures = _ag_bracket_identity(n)
     chk.cases += br_cases
     chk.failures.extend(br_failures)
-    return chk.report("ag-costar", n, {
+    return chk.report(n, {
         "contraction_entries": len(contraction),
         "lhs_zero": lhs.is_zero(),
     })
 
 
-def verify_norm_modules(n: int) -> Report:
+def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
     """Stability ∂̃𝔼 ⊆ 𝔽, ∂̃*𝔽 ⊆ 𝔼, the mutual bijections between
     im∂̃*∩𝔼 and im∂̃∩𝔽, and the defining-condition realizations of 𝔼, 𝔽."""
     maps = build_maps(n, "ag")
@@ -809,8 +825,7 @@ def verify_norm_modules(n: int) -> Report:
     chk.check(bwd_rank == m1.dim, "∂*(im∂∩F) does not span im∂*∩E")
 
     # condition-set realizations
-    p_basis = [i for i, lab in enumerate(g.basis_labels)
-               if lab[0] == "H" or g.degree_of_position(lab[1], lab[2]) >= 0]
+    p_basis = p_indices(g)
     cls_p = Subspace(gt.dim_neg, [gt.class_mod_p(maps.i_prime(g.basis_mat(i)))
                                   for i in p_basis])
     cls_g = Subspace(gt.dim_neg, [gt.class_mod_p(maps.i_prime(g.basis_mat(i)))
@@ -866,7 +881,7 @@ def verify_norm_modules(n: int) -> Report:
     chk.check(e_mod.intersect(pos_valued).same_space(e2_mod),
               "E ∩ (p̃_1⊗p̃_1) differs from E2")
 
-    return chk.report("norm-modules", n, {
+    return chk.report(n, {
         "E_dim": e_mod.dim, "F_dim": f_mod.dim, "E2_dim": e2_mod.dim,
         "im_costar_cap_E": m1.dim, "im_partial_cap_F": m2.dim,
         "bracket_n1F_dim": bracket_n1F_space(n).dim,
@@ -945,8 +960,7 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
               for pos in h_positions]
     h_direct = Subspace(g.dim, kernel_basis(h_rows))
     chk.check(maps.h_space == h_direct, "i'^{-1}(p̃) differs from h")
-    parabolic = coordinate_subspace(
-        g, [i for i in range(g.dim) if i >= g.dim_neg])
+    parabolic = coordinate_subspace(g, p_indices(g))
     chk.check(parabolic.contains_subspace(maps.h_space),
               "h is not contained in the source parabolic")
 
@@ -1021,10 +1035,10 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
                 img = maps.i_prime(elementary(r, c))
                 chk.check(all(pos in set(maps.n1F_positions) for pos in img),
                           f"i'(p_+) left n1F at position ({r},{c})")
-    return chk.report("memberships", n, details)
+    return chk.report(n, details)
 
 
-def verify_torsion_transfer(n: int) -> Report:
+def verify_torsion_transfer(n: int, rng: object = None, trials: int = 0) -> Report:
     """tr(ι_τ̃ τ̃) = 0 on transfers of the path 𝔽-module (full polarized
     sweep), and the module-level torsion-freeness equivalence."""
     maps = build_maps(n, "path")
@@ -1053,7 +1067,6 @@ def verify_torsion_transfer(n: int) -> Report:
     # Backward implication: a B-valued source value whose image lies in p̃
     # lies in B ∩ h, and that space meets none of the q_{-1}^V value
     # directions, i.e. it is contained in q — the source torsion vanishes.
-    q_idx = [i for i in range(g.dim) if i >= g.dim_neg]
     b_idx = b_indices(g)
     rows = [[frac(maps.i_prime(g.basis_mat(v)).get(pos, 0)) for v in b_idx]
             for pos in gt.neg_positions]
@@ -1067,10 +1080,10 @@ def verify_torsion_transfer(n: int) -> Report:
     b_space = coordinate_subspace(g, b_idx)
     chk.check(t_space == b_space.intersect(maps.h_space),
               "{x ∈ B : i'(x) ∈ p̃} differs from B ∩ h")
-    q_space = coordinate_subspace(g, q_idx)
+    q_space = coordinate_subspace(g, p_indices(g))
     chk.check(q_space.contains_subspace(t_space),
               "{x ∈ B : i'(x) ∈ p̃} has values outside q")
-    return chk.report("torsion-transfer", n, {
+    return chk.report(n, {
         "F_dim": len(f_basis), "nonzero_tau": len(nonzero),
     })
 
@@ -1092,7 +1105,7 @@ def verify_harmonic_types(n: int, source: str) -> Report:
         chk.cases = 1
         if not data["ok"]:
             chk.failures.extend(str(f) for f in data["failures"])
-        return chk.report("harmonic-types", n, {
+        return chk.report(n, {
             "harmonic_dim": data["harmonic_dim"],
             "tau_dim": data["tau_dim"],
             "rho_dim": data["rho_dim"],
@@ -1107,35 +1120,23 @@ def verify_harmonic_types(n: int, source: str) -> Report:
         "E-2-V", g, 2,
         [(T, v) for T in chain_tuples(g, 2)
          if _path_pair_type(n, T) == ("2", "E") for v in v_values])
-    rho_amb = ChainModule.from_labels(
-        "V-2-q0", g, 2,
-        [(T, v) for T in chain_tuples(g, 2)
-         if _path_pair_type(n, T) == ("2", "V") for v in q0_indices(g)])
     iota_amb = ChainModule.from_labels(
         "V-V-g", g, 2,
         [(T, v) for T in chain_tuples(g, 2)
          if _path_pair_type(n, T) == ("V", "V") for v in range(g.dim)])
     tau_part = harm.intersect(tau_amb, "tau-part")
-    rho_part = harm.intersect(rho_amb, "rho-part")
+    rho_part = harm.intersect(module_rho_path(n), "rho-part")
     iota_part = harm.intersect(iota_amb, "involutivity-part")
     chk.check(tau_part.dim + rho_part.dim + iota_part.dim == harm.dim,
               "harmonic space is not the sum of its three typed parts")
     chk.check(tau_part.sum_with(rho_part).sum_with(iota_part).same_space(harm),
               "typed parts do not span the harmonic space")
-    not_vv = ChainModule.from_labels(
-        "no-V-V", g, 2,
-        [(T, v) for T in chain_tuples(g, 2)
-         if _path_pair_type(n, T) != ("V", "V") for v in range(g.dim)])
-    involutive = harm.intersect(not_vv, "involutive-part")
+    involutive = harm.intersect(module_no_vv_path(n), "involutive-part")
     chk.check(involutive.same_space(tau_part.sum_with(rho_part)),
               "harmonic elements vanishing on Λ²V leave the two displayed blocks")
-    rho_ss = ChainModule.from_labels(
-        "V-2-q0ss", g, 2,
-        [(T, v) for T in chain_tuples(g, 2)
-         if _path_pair_type(n, T) == ("2", "V") for v in q0ss_indices(g)])
-    chk.check(rho_part.is_contained_in(rho_ss),
+    chk.check(rho_part.is_contained_in(module_rho_path(n, semisimple=True)),
               "ρ-part has values outside the semisimple part")
-    return chk.report("harmonic-types", n, {
+    return chk.report(n, {
         "harmonic_dim": harm.dim,
         "tau_dim": tau_part.dim,
         "rho_dim": rho_part.dim,

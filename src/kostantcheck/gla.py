@@ -181,11 +181,6 @@ class GradedSL:
         a, b = self.neg_positions[i]
         return elementary(b, a)
 
-    def dual_basis(self) -> tuple[list[SparseMat], list[SparseMat]]:
-        xs = [self.x_mat(i) for i in range(self.dim_neg)]
-        zs = [self.z_mat(i) for i in range(self.dim_neg)]
-        return xs, zs
-
     # --- grading ----------------------------------------------------------
 
     def degree_of_position(self, a: int, b: int) -> int:
@@ -267,10 +262,6 @@ class GradedSL:
         return tuple(w)
 
     # --- brackets -----------------------------------------------------------
-
-    @staticmethod
-    def bracket(x: SparseMat, y: SparseMat) -> SparseMat:
-        return smat_bracket(x, y)
 
     @cached_property
     def action_coords(self) -> tuple[list[list[list[tuple[int, int]]]], ...]:

@@ -136,10 +136,6 @@ class EFTensor:
         return f"EFTensor(sig={self.sig}, n={self.n}, entries={len(self.data)})"
 
 
-def zero_tensor(sig: Sequence[str], n: int) -> EFTensor:
-    return EFTensor(sig, n)
-
-
 # ---------------------------------------------------------------------------
 # Block extraction from degree-2 cochains of the (2, n) grading
 # ---------------------------------------------------------------------------

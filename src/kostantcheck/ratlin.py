@@ -238,9 +238,6 @@ class Subspace:
             vectors.append(vec)
         return Subspace(self.ambient, vectors)
 
-    def basis(self) -> list[Vector]:
-        return [list(row) for row in self.rows]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented

@@ -288,6 +288,24 @@ def test_criterion_10_rho_ricci() -> None:
           "n+2, n+2; round-trips; block formulas vs ∂, n=3,4")
 
 
+#: (check, n, status, cases_run) of `verify --check all --n-min 2 --n-max 3
+#: --seed 1`, in report order.
+PINNED_ROWS = [
+    ("jacobi", 2, "PASS", 6564), ("jacobi", 3, "PASS", 20744),
+    ("hodge", 2, "PASS", 14), ("hodge", 3, "PASS", 21),
+    ("codiff-lift", 2, "PASS", 3948), ("codiff-lift", 3, "PASS", 15019),
+    ("bianchi-path", 2, "PASS", 4948), ("bianchi-path", 3, "PASS", 85826),
+    ("path-normality", 2, "PASS", 408), ("path-normality", 3, "PASS", 1430),
+    ("beta-secondsum", 2, "PASS", 827), ("beta-secondsum", 3, "PASS", 3699),
+    ("ag-costar", 3, "PASS", 2940), ("norm-modules", 3, "PASS", 670),
+    ("normalize-step", 3, "PASS", 70),
+    ("memberships", 2, "PASS", 28), ("memberships", 3, "PASS", 79),
+    ("torsion-transfer", 2, "PASS", 1900), ("torsion-transfer", 3, "PASS", 28936),
+    ("rho-ricci", 3, "PASS", 240),
+    ("harmonic-types", 2, "PASS", 4), ("harmonic-types", 3, "PASS", 5),
+]
+
+
 def test_criterion_11_cli_determinism(capsys) -> None:
     argv = ["verify", "--check", "all", "--n-min", "2", "--n-max", "3",
             "--seed", "1", "--format", "json"]
@@ -299,6 +317,7 @@ def test_criterion_11_cli_determinism(capsys) -> None:
     assert out1 == out2, "repeated runs are not byte-identical"
     rows = json.loads(out1)
     assert len(rows) == 22
+    assert [(r["check"], r["n"], r["status"], r["cases_run"]) for r in rows] == PINNED_ROWS
     assert all(r["status"] == "PASS" for r in rows)
     assert all(r["wall_time_ms"] == 0 for r in rows)
     print(f"[criterion 11] CLI determinism: PASS — {len(rows)} report rows, "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,25 @@ def sample_cochain(blocks=(1, 1, 2), deg=2, seed=0, terms=4) -> Cochain:
         c.add_term(T, alg.basis_mat(rng.randrange(alg.dim)),
                    F(rng.randint(1, 5), rng.randint(1, 3)))
     return c
+
+
+def bad_cochain_files() -> dict[str, tuple[bytes, str]]:
+    """Files the loader must reject, each with the location its error names
+    ("{path}" stands for the file path)."""
+    text = json.dumps(cochain_to_doc(sample_cochain(seed=3)))
+    long_entry = json.loads(text)
+    long_entry["values"][0]["matrix"][0][0] = "1" + "0" * 4300
+    return {
+        "not-utf-8": (text.encode().replace(b'"sl"', b'"s\xfel"'), "{path}"),
+        "rational-past-the-digit-limit": (json.dumps(long_entry).encode(),
+                                          "values[0].matrix[0][0]"),
+        "integer-past-the-digit-limit": (
+            text.replace('"degree": 2', '"degree": 1' + "0" * 4300).encode(), "{path}"),
+        "deep-nesting": (b"[" * 100_000 + b"]" * 100_000, "{path}"),
+    }
+
+
+BAD_FILES = bad_cochain_files()
 
 
 class TestRationalStrings:
@@ -141,6 +161,15 @@ class TestCochainDocuments:
         assert str(path) in str(err.value)
         assert ":1:" in str(err.value)
 
+    @pytest.mark.parametrize("case", sorted(BAD_FILES))
+    def test_unreadable_files_are_format_errors(self, tmp_path, case) -> None:
+        content, where = BAD_FILES[case]
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(CochainFormatError) as err:
+            load_cochain(str(path))
+        assert where.format(path=path) in str(err.value)
+
 
 class TestCheckRegistry:
     def test_registry_names_and_windows(self) -> None:
@@ -153,6 +182,20 @@ class TestCheckRegistry:
         }
         for name, (min_n, _) in CHECKS.items():
             assert min_n in (2, 3), name
+
+    def test_runners_are_the_module_functions(self) -> None:
+        """Each runner is the module attribute of its own name, so that
+        rebinding that attribute (as the per-layer tracer does) reaches it."""
+        for name, (_, runner) in CHECKS.items():
+            owner = sys.modules[runner.__module__]
+            assert getattr(owner, runner.__name__) is runner, name
+
+    @pytest.mark.parametrize("name", [k for k, (min_n, _) in CHECKS.items()
+                                      if min_n == 2])
+    def test_reports_carry_the_registry_name(self, name: str) -> None:
+        rep = run_check(name, 2, 0, 1)
+        assert rep is not None and rep.ok
+        assert rep.name == name
 
     @pytest.mark.parametrize("name", ["ag-costar", "norm-modules",
                                       "normalize-step", "rho-ricci"])
@@ -288,6 +331,17 @@ class TestCostarCommand:
                        "--output", str(tmp_path / "out.json")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BAD_FILES))
+    def test_unreadable_input_is_an_input_error(self, tmp_path, capsys, case) -> None:
+        content, where = BAD_FILES[case]
+        src = tmp_path / "in.json"
+        src.write_bytes(content)
+        rc = cli.main(["costar", "--input", str(src),
+                       "--output", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and where.format(path=src) in err
 
 
 class TestTransferCommand:

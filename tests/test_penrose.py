@@ -43,7 +43,6 @@ from kostantcheck.penrose import (
     tr_itau_tau,
     weyl_from_curvature,
     weyl_identity_residuals,
-    zero_tensor,
 )
 
 F = Fraction
@@ -232,7 +231,7 @@ class TestWeylExpansion:
         n = 3
         r_e = random_tensor(W_SIG, n, rng)
         r_f = random_tensor(WP_SIG, n, rng)
-        w, wp = weyl_from_curvature(r_e, r_f, zero_tensor(TRACE_SIG, n))
+        w, wp = weyl_from_curvature(r_e, r_f, EFTensor(TRACE_SIG, n))
         assert w == r_e and wp == r_f
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -241,8 +240,8 @@ class TestWeylExpansion:
         alg = graded_sl((2, n))
         for _ in range(3):
             p = random_tensor(TRACE_SIG, n, rng)
-            w, wp = weyl_from_curvature(zero_tensor(W_SIG, n),
-                                        zero_tensor(WP_SIG, n), p)
+            w, wp = weyl_from_curvature(EFTensor(W_SIG, n),
+                                        EFTensor(WP_SIG, n), p)
             blocks = extract_blocks(partial(rho_cochain(p, alg)))
             assert blocks.tau.is_zero() and blocks.Y.is_zero()
             assert blocks.W == w and blocks.Wp == wp
@@ -253,8 +252,8 @@ class TestWeylExpansion:
         −nP + P^B_{A'}{}^A_{B'}."""
         rng = random.Random(n + 60)
         p = random_tensor(TRACE_SIG, n, rng)
-        w, wp = weyl_from_curvature(zero_tensor(W_SIG, n),
-                                    zero_tensor(WP_SIG, n), p)
+        w, wp = weyl_from_curvature(EFTensor(W_SIG, n),
+                                    EFTensor(WP_SIG, n), p)
         assert tr_W(w) == p.scale(2).sub(p.swap(1, 3))
         assert tr_Wp(wp) == p.scale(-n).add(p.swap(0, 2))
 
@@ -291,9 +290,9 @@ class TestIdentityChecker:
 
     def test_zero_input_has_zero_residuals(self) -> None:
         n = 3
-        res = weyl_identity_residuals(zero_tensor(W_SIG, n),
-                                      zero_tensor(WP_SIG, n),
-                                      zero_tensor(TAU_SIG, n), n)
+        res = weyl_identity_residuals(EFTensor(W_SIG, n),
+                                      EFTensor(WP_SIG, n),
+                                      EFTensor(TAU_SIG, n), n)
         assert all(t.is_zero() for t in res.values())
 
 
