@@ -30,7 +30,7 @@ from fractions import Fraction
 from .gla import graded_sl, smat_from_dense, smat_to_dense, smat_trace
 from .kostant import Cochain
 
-_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
+_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z", re.ASCII)
 
 
 class CochainFormatError(ValueError):
@@ -46,6 +46,12 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _shown(value: object) -> str:
+    """``repr(value)`` cut to 60 characters, so an error stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def parse_rational(raw: object, where: str) -> Fraction:
     if isinstance(raw, str) and _RATIONAL.match(raw) or _is_int(raw):
         try:
@@ -53,7 +59,7 @@ def parse_rational(raw: object, where: str) -> Fraction:
         except ValueError as exc:  # more digits than Python's int-string limit
             raise CochainFormatError(
                 f"{where}: rational longer than the integer-string limit") from exc
-    raise CochainFormatError(f'{where}: expected a rational "p" or "p/q", got {raw!r}')
+    raise CochainFormatError(f'{where}: expected a rational "p" or "p/q", got {_shown(raw)}')
 
 
 def cochain_to_doc(c: Cochain) -> dict:
@@ -91,12 +97,13 @@ def doc_to_cochain(doc: object) -> Cochain:
             or any(not _is_int(b) or b < 1 for b in blocks)):
         raise CochainFormatError("grading.blocks: expected a list of positive integers")
     if not _is_int(m) or m != sum(blocks):
-        raise CochainFormatError(f"algebra.m: expected the block sum {sum(blocks)}, got {m!r}")
+        raise CochainFormatError(
+            f"algebra.m: expected the block sum {sum(blocks)}, got {_shown(m)}")
     if len(blocks) < 2:
         raise CochainFormatError("grading.blocks: a grading needs at least two blocks")
     degree = _require(doc, "degree", "document")
     if not _is_int(degree) or degree < 0:
-        raise CochainFormatError(f"degree: expected a non-negative integer, got {degree!r}")
+        raise CochainFormatError(f"degree: expected a non-negative integer, got {_shown(degree)}")
     values = _require(doc, "values", "document")
     if not isinstance(values, list):
         raise CochainFormatError("values: expected a list")

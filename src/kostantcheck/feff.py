@@ -40,7 +40,7 @@ from .gla import (GradedSL, SparseMat, elementary, graded_sl, smat_add_into,
 from .kostant import (ChainModule, Cochain, block_structure, blocked_coords,
                       chain_tuples, cochain_from_block, costar, hodge,
                       insertion, partial)
-from .ratlin import Subspace, frac, kernel_basis, solve, zero_vector
+from .ratlin import Subspace, frac, kernel_basis, null_space, solve, zero_vector
 
 #: Sentinel returned by :func:`normalize_step` when the linear condition
 #: has no solution at the requested filtration level.
@@ -101,6 +101,23 @@ def _eval2(c: Cochain, c1: Sequence[Fraction], c2: Sequence[Fraction]) -> Sparse
     out: SparseMat = {}
     for (s, t), u in c.data.items():
         cf = c1[s] * c2[t] - c1[t] * c2[s]
+        if cf:
+            smat_add_into(out, u, cf)
+    return out
+
+
+def _wedge_table(c1: Sequence[Fraction], c2: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:
+    """The nonzero coefficients c1[s]·c2[t] − c1[t]·c2[s] of :func:`_eval2`, s < t."""
+    n = len(c1)
+    return {(s, t): cf for s in range(n) for t in range(s + 1, n)
+            if (cf := c1[s] * c2[t] - c1[t] * c2[s])}
+
+
+def _eval2_table(c: Cochain, table: dict[tuple[int, int], Fraction]) -> SparseMat:
+    """:func:`_eval2` with its coefficients read from a :func:`_wedge_table`."""
+    out: SparseMat = {}
+    for st, u in c.data.items():
+        cf = table.get(st)
         if cf:
             smat_add_into(out, u, cf)
     return out
@@ -167,7 +184,7 @@ class EmbeddingMaps:
         # h = i'^{-1}(p̃): kernel of the negative coordinates of the images.
         neg_rows = [[image_coords[i][r] for i in range(g.dim)]
                     for r in range(gt.dim_neg)]
-        self.h_space = Subspace(g.dim, kernel_basis(neg_rows))
+        self.h_space = null_space(neg_rows, g.dim)
 
         # π: solve class(i'(x)) = e_j for each target direction, then read the
         # class of x modulo the source parabolic.
@@ -477,16 +494,7 @@ def _constrained_module(module: ChainModule, name: str,
             spaces[w] = space
             continue
         mat = [[res.get(key, 0) for res in residuals] for key in violated]
-        new_rows = []
-        for kv in kernel_basis(mat):
-            new_row = zero_vector(space.ambient)
-            for coeff, brow in zip(kv, space.rows):
-                if coeff:
-                    for idx, bv in enumerate(brow):
-                        if bv:
-                            new_row[idx] += coeff * bv
-            new_rows.append(new_row)
-        sub = Subspace(space.ambient, new_rows)
+        sub = space.combinations(null_space(mat, space.dim))
         if sub.dim:
             spaces[w] = sub
     return ChainModule(name, module.alg, module.deg, spaces)
@@ -856,9 +864,11 @@ def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
              + [((1, i1, i2), r, s) for i1, r in enumerate(rows_p)
                 for i2, s in enumerate(cls_g.rows)])
 
+    tables = [(key, _wedge_table(r, s)) for key, r, s in pairs]
+
     def resid_f(c: Cochain) -> dict[tuple[int, int, int, int], Fraction]:
-        return {key + (idx,): cf for key, r, s in pairs
-                for idx, cf in gt.sparse_coords(_eval2(c, r, s))
+        return {key + (idx,): cf for key, table in tables
+                for idx, cf in gt.sparse_coords(_eval2_table(c, table))
                 if key[0] == 0 or idx not in n1f_idx}
 
     f_cond = _constrained_module(amb2, "F-conditions", resid_f)
@@ -958,7 +968,7 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
                                       for b in range(2)]
     h_rows = [[frac(g.basis_mat(i).get(pos, 0)) for i in range(g.dim)]
               for pos in h_positions]
-    h_direct = Subspace(g.dim, kernel_basis(h_rows))
+    h_direct = null_space(h_rows, g.dim)
     chk.check(maps.h_space == h_direct, "i'^{-1}(p̃) differs from h")
     parabolic = coordinate_subspace(g, p_indices(g))
     chk.check(parabolic.contains_subspace(maps.h_space),
@@ -969,7 +979,7 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
                      if (r, c) not in allowed]
         rows = [[frac(maps.i_prime(g.basis_mat(i)).get(pos, 0))
                  for i in range(g.dim)] for pos in forbidden]
-        return Subspace(g.dim, kernel_basis(rows))
+        return null_space(rows, g.dim)
 
     if source == "path":
         for v in a_indices(g):
@@ -1007,8 +1017,8 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
                              for i in range(gt.dim)])
             return rows
 
-        s1 = Subspace(gt.dim, kernel_basis(stab_rows(True)))
-        s2 = Subspace(gt.dim, kernel_basis(stab_rows(False)))
+        s1 = null_space(stab_rows(True), gt.dim)
+        s2 = null_space(stab_rows(False), gt.dim)
         chk.check(s1 == maps._qmap_domain,
                   "{Ã: Ãw = 0, vÃ ∈ (0,0,0,ℝⁿ)} differs from i'(g) + n1F")
         chk.check(s2 == maps.i_image, "{Ã: Ãw = 0, vÃ = 0} differs from i'(g)")

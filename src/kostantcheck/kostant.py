@@ -52,7 +52,7 @@ from .gla import (
     smat_bracket,
     smat_scale,
 )
-from .ratlin import Subspace, frac, kernel_basis, zero_vector
+from .ratlin import Subspace, frac, null_space, zero_vector
 
 
 def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
@@ -540,12 +540,6 @@ def _costar_terms(alg: GradedSL, T: tuple[int, ...], v: int):
                 yield rest[:k] + (s,) + rest[k:], v, -cf if (i + j + k) % 2 else cf
 
 
-def _kernel_space(mat: list[list[int | Fraction]], ncols: int) -> Subspace:
-    if not mat or not ncols:
-        return Subspace(ncols, [[int(i == j) for j in range(ncols)] for i in range(ncols)])
-    return Subspace(ncols, kernel_basis(mat))
-
-
 def _column_space(mat: list[list[int | Fraction]]) -> Subspace:
     if not mat:
         return Subspace(0)
@@ -587,8 +581,8 @@ def hodge(blocks: tuple[int, ...], deg: int = 2) -> HodgeData:
 
         im_costar[w] = _column_space(s_in) if above.block_dim(w) else Subspace(dim_here)
         im_partial[w] = _column_space(d_in) if below.block_dim(w) else Subspace(dim_here)
-        ker_costar[w] = _kernel_space(s_down, dim_here)
-        ker_partial[w] = _kernel_space(d_up, dim_here)
+        ker_costar[w] = null_space(s_down, dim_here)
+        ker_partial[w] = null_space(d_up, dim_here)
 
         # □ = ∂∘∂* + ∂*∘∂ on this block: d_in·s_down + s_in·d_up, summed
         # over the nonzero entries of both factors only.
@@ -600,7 +594,7 @@ def hodge(blocks: tuple[int, ...], deg: int = 2) -> HodgeData:
                     if x:
                         for j, y in right_nz[k]:
                             box_row[j] += x * y
-        ker_box[w] = _kernel_space(box, dim_here)
+        ker_box[w] = null_space(box, dim_here)
 
     total = chain_total_dim(alg, deg)
     return HodgeData(

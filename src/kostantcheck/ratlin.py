@@ -15,6 +15,10 @@ of exact entries, so this module keeps the conventions in one place:
   structural zeros that dominate the operator blocks cost nothing;
 * the canonical witness for a subspace is its reduced row-echelon basis, so
   subspace equality is literal equality of bases;
+* each subspace comes from one elimination: :func:`null_space` of the
+  column-reversed matrix, :meth:`Subspace.intersect` of the Zassenhaus stack
+  [[U | U], [V | 0]]; the rows of both come out reduced row-echelon and go
+  to ``Subspace._trusted``, private to this module, with no second elimination;
 * there are no tolerances anywhere — a residual either is zero or is not.
 
 ``solve`` returns ``None`` for an inconsistent system; callers that need to
@@ -46,26 +50,18 @@ def mat_vec(mat: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Vecto
 
 def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
     """A positive rational multiple of ``row`` with coprime integer entries."""
-    den = lcm(*[x.denominator for x in row])
-    ints = [x.numerator * (den // x.denominator) for x in row]
+    if all(type(x) is int for x in row):
+        ints = list(row)
+    else:
+        den = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row]
     content = gcd(*ints)
     return [x // content for x in ints] if content > 1 else ints
 
 
-def rref(mat: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, int]:
-    """Reduced row-echelon form.
-
-    Returns ``(R, rank)`` where ``R`` has the same shape as ``mat`` and every
-    entry is a ``Fraction`` (zero entries may share one object).  The input
-    is not mutated.  Each row is first scaled to coprime integers; a row
-    ``r`` is then cleared at a pivot ``p`` of the pivot row ``q`` as
-    ``(p/g)·r − (r_col/g)·q`` with ``g = gcd(p, r_col)``, subtracting only
-    over the nonzero support of ``q``, and divided by the gcd of its
-    entries.  The rows stay integer throughout; dividing each pivot row by
-    its pivot at the end gives the reduced form, which is unique, so it is
-    the same as that of rational Gauss–Jordan elimination.
-    """
-    rows = [_integer_row(row) for row in mat]
+def _eliminate(rows: list[list[int]]) -> list[int]:
+    """The integer Gauss–Jordan elimination of :func:`rref`, in place on
+    coprime integer rows; returns the pivot columns, one per leading row."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivot_cols: list[int] = []
@@ -93,10 +89,29 @@ def rref(mat: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, int]:
         pivot_cols.append(col)
         if lead + 1 == nrows:
             break
+    return pivot_cols
+
+
+def rref(mat: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, int]:
+    """Reduced row-echelon form.
+
+    Returns ``(R, rank)`` where ``R`` has the same shape as ``mat`` and every
+    entry is a ``Fraction`` (zero entries may share one object).  The input
+    is not mutated.  Each row is first scaled to coprime integers; a row
+    ``r`` is then cleared at a pivot ``p`` of the pivot row ``q`` as
+    ``(p/g)·r − (r_col/g)·q`` with ``g = gcd(p, r_col)``, subtracting only
+    over the nonzero support of ``q``, and divided by the gcd of its
+    entries.  The rows stay integer throughout; dividing each pivot row by
+    its pivot at the end gives the reduced form, which is unique, so it is
+    the same as that of rational Gauss–Jordan elimination.
+    """
+    rows = [_integer_row(row) for row in mat]
+    pivot_cols = _eliminate(rows)
+    ncols = len(rows[0]) if rows else 0
     zero = Fraction(0)
     out = [[Fraction(x, row[pc]) if x else zero for x in row]
            for row, pc in zip(rows, pivot_cols)]
-    out.extend([zero] * ncols for _ in range(nrows - len(pivot_cols)))
+    out.extend([zero] * ncols for _ in range(len(rows) - len(pivot_cols)))
     return out, len(pivot_cols)
 
 
@@ -105,11 +120,12 @@ def rank(mat: Sequence[Sequence[Fraction]]) -> int:
 
 
 def kernel_basis(mat: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Canonical basis of the right null space {x : mat·x = 0}.
+    """Basis form of the right null space {x : mat·x = 0}.
 
     One basis vector per free column, with a 1 in that column; this is the
     standard back-substituted basis, hence deterministic.  All-zero rows
-    constrain nothing and are dropped before elimination.
+    constrain nothing and are dropped before elimination.  The reference
+    for :func:`null_space`, except that no rows give an empty list here.
     """
     if not mat:
         return []
@@ -129,6 +145,28 @@ def kernel_basis(mat: Sequence[Sequence[Fraction]]) -> list[Vector]:
             vec[pc] = -reduced[r][free]
         basis.append(vec)
     return basis
+
+
+def null_space(mat: Sequence[Sequence[int | Fraction]], ncols: int) -> "Subspace":
+    """The right null space {x : mat·x = 0} of Q^ncols, from one elimination.
+
+    The column-reversed matrix is eliminated once.  Its back-substituted
+    kernel basis, read in the original column order, has a leading 1 at each
+    free column and other entries only at pivot columns to its right, so it
+    is already reduced row-echelon.  No rows give all of Q^ncols.
+    """
+    if any(len(row) != ncols for row in mat):
+        raise ValueError("row has wrong length")
+    rows = [_integer_row(row[::-1]) for row in mat if any(row)]
+    pivot_cols, last = _eliminate(rows), ncols - 1
+    free = sorted(set(range(ncols)).difference(last - pc for pc in pivot_cols))
+    zero, one = Fraction(0), Fraction(1)
+    basis = {f: [one if j == f else zero for j in range(ncols)] for f in free}
+    for row, pc in zip(rows, pivot_cols):
+        for j in range(pc + 1, ncols):
+            if row[j]:
+                basis[last - j][last - pc] = Fraction(-row[j], row[pc])
+    return Subspace._trusted(ncols, list(basis.values()), free)
 
 
 def solve(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector | None:
@@ -169,6 +207,13 @@ class Subspace:
         self.ambient = ambient
         self.rows: list[Vector] = reduced[:rk]
         self.pivots: list[int] = [next(j for j, x in enumerate(row) if x) for row in self.rows]
+
+    @classmethod
+    def _trusted(cls, ambient: int, rows: list[Vector], pivots: list[int]) -> "Subspace":
+        """A Subspace from a reduced row-echelon basis made inside this module."""
+        space = object.__new__(cls)
+        space.ambient, space.rows, space.pivots = ambient, rows, pivots
+        return space
 
     @property
     def dim(self) -> int:
@@ -219,24 +264,40 @@ class Subspace:
         return Subspace(self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """U ∩ V via the kernel of the column-stacked bases."""
+        """U ∩ V by Zassenhaus: one elimination of [[U | U], [V | 0]].
+
+        The echelon rows whose left half vanished have right halves in U ∩ V
+        that span it, and they are already its reduced row-echelon basis.
+        """
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        a, b = self.rows, other.rows
-        if not a or not b:
-            return Subspace(self.ambient)
-        stacked = [[a[i][r] for i in range(len(a))] + [b[j][r] for j in range(len(b))]
-                   for r in range(self.ambient)]
-        vectors = []
-        for k in kernel_basis(stacked):
+        d = self.ambient
+        rows = [r + r for r in map(_integer_row, self.rows)]
+        rows += [_integer_row(v) + [0] * d for v in other.rows]
+        zero = Fraction(0)
+        meet, pivots = [], []
+        for row, pc in zip(rows, _eliminate(rows)):
+            if pc >= d:
+                meet.append([Fraction(x, row[pc]) if x else zero for x in row[d:]])
+                pivots.append(pc - d)
+        return Subspace._trusted(d, meet, pivots)
+
+    def combinations(self, coords: "Subspace") -> "Subspace":
+        """The span of Σ k_i·rows[i] over k in ``coords``: both bases are
+        reduced row-echelon, so these combinations are too, with pivots
+        ``pivots[p]`` for ``p`` in ``coords.pivots``."""
+        if coords.ambient != self.dim:
+            raise ValueError("coordinates have wrong ambient dimension")
+        out = []
+        for k in coords.rows:
             vec = zero_vector(self.ambient)
-            for i, c in enumerate(k[: len(a)]):
-                if c:
-                    for j in range(self.ambient):
-                        if a[i][j]:
-                            vec[j] += c * a[i][j]
-            vectors.append(vec)
-        return Subspace(self.ambient, vectors)
+            for coeff, row in zip(k, self.rows):
+                if coeff:
+                    for j, x in enumerate(row):
+                        if x:
+                            vec[j] += coeff * x
+            out.append(vec)
+        return Subspace._trusted(self.ambient, out, [self.pivots[p] for p in coords.pivots])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):

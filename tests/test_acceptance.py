@@ -37,6 +37,7 @@ refinement (the ker □ form of the 𝔮_0^{ss} statement).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -315,6 +316,8 @@ def test_criterion_11_cli_determinism(capsys) -> None:
     out2 = capsys.readouterr().out
     assert rc1 == 0 and rc2 == 0
     assert out1 == out2, "repeated runs are not byte-identical"
+    assert hashlib.sha256(out1.encode()).hexdigest() == (
+        "695c7e5b97748d05881dd732237b90491f8b015ff8d2ad360ee7097f5fa354a5")
     rows = json.loads(out1)
     assert len(rows) == 22
     assert [(r["check"], r["n"], r["status"], r["cases_run"]) for r in rows] == PINNED_ROWS

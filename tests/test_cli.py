@@ -51,6 +51,8 @@ def bad_cochain_files() -> dict[str, tuple[bytes, str]]:
     text = json.dumps(cochain_to_doc(sample_cochain(seed=3)))
     long_entry = json.loads(text)
     long_entry["values"][0]["matrix"][0][0] = "1" + "0" * 4300
+    arabic_digit = json.loads(text)
+    arabic_digit["values"][0]["matrix"][1][2] = "\u0663"
     return {
         "not-utf-8": (text.encode().replace(b'"sl"', b'"s\xfel"'), "{path}"),
         "rational-past-the-digit-limit": (json.dumps(long_entry).encode(),
@@ -58,7 +60,15 @@ def bad_cochain_files() -> dict[str, tuple[bytes, str]]:
         "integer-past-the-digit-limit": (
             text.replace('"degree": 2', '"degree": 1' + "0" * 4300).encode(), "{path}"),
         "deep-nesting": (b"[" * 100_000 + b"]" * 100_000, "{path}"),
+        "non-ascii-digit": (json.dumps(arabic_digit).encode(), "values[0].matrix[1][2]"),
     }
+
+
+def nested(depth: int) -> object:
+    value: object = 0
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 BAD_FILES = bad_cochain_files()
@@ -75,7 +85,8 @@ class TestRationalStrings:
         assert parse_rational("-4", "x") == F(-4)
         assert parse_rational(4, "x") == F(4)
 
-    @pytest.mark.parametrize("bad", ["1.5", "3/0", "1/-2", "", "a", 2.5, None])
+    @pytest.mark.parametrize("bad", ["1.5", "3/0", "1/-2", "", "a", 2.5, None,
+                                     "\u0663", "\uff17", "-\u0663/2", "1/\u0662"])
     def test_rejects_non_rationals(self, bad) -> None:
         with pytest.raises(CochainFormatError, match="x:"):
             parse_rational(bad, "x")
@@ -142,6 +153,23 @@ class TestCochainDocuments:
         mutate(doc)
         with pytest.raises(CochainFormatError, match=message):
             doc_to_cochain(doc)
+
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda d: d.__setitem__("degree", nested(900)), "degree:"),
+        (lambda d: d["algebra"].__setitem__("m", "5" * 5000), "algebra.m:"),
+        (lambda d: d["values"][0]["matrix"][0].__setitem__(0, "x" * 5000),
+         "values[0].matrix[0][0]:"),
+        (lambda d: d["values"][0]["matrix"][0].__setitem__(0, nested(900)),
+         "values[0].matrix[0][0]:"),
+    ], ids=["nested-degree", "long-m", "long-entry", "nested-entry"])
+    def test_errors_stay_one_short_line(self, mutate, field) -> None:
+        doc = cochain_to_doc(sample_cochain(seed=3))
+        mutate(doc)
+        with pytest.raises(CochainFormatError) as err:
+            doc_to_cochain(doc)
+        message = str(err.value)
+        assert message.startswith(field)
+        assert "\n" not in message and len(message) < 200
 
     def test_all_boolean_document_is_rejected(self) -> None:
         zero_row = ["0"] * 4

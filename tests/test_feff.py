@@ -26,9 +26,14 @@ from fractions import Fraction
 
 import pytest
 
+from kostantcheck import feff
 from kostantcheck.feff import (
     INFEASIBLE,
+    SOURCES,
     _constrained_module,
+    _eval2,
+    _eval2_table,
+    _wedge_table,
     EmbeddingMaps,
     MapConstructionError,
     ag_costar_check,
@@ -250,6 +255,52 @@ class TestConstrainedModule:
                 assert got.spaces[w].pivots == space.pivots
             if expected_dim is not None:
                 assert got.dim == expected_dim
+
+
+class TestExactSubspaceSites:
+    def test_wedge_table_matches_eval2_on_the_f_ambient(self) -> None:
+        """Every basis cochain of Λ²p̃_+⊗[g̃,n1F] against every class-row pair
+        of the 𝔽 conditions at n = 3."""
+        maps = build_maps(3, "ag")
+        g, gt = maps.g, maps.gt
+        classes = [gt.class_mod_p(maps.i_prime(g.basis_mat(i))) for i in range(g.dim)]
+        rows_p = Subspace(gt.dim_neg, classes[g.dim_neg:]).rows
+        rows_g = Subspace(gt.dim_neg, classes).rows
+        pairs = [(r, s) for r in rows_p for s in rows_p + rows_g]
+        bk_mats = [gt.from_coords(row) for row in bracket_n1F_space(3).rows]
+        amb = ChainModule.from_cochains(
+            "F-ambient", gt, 2, (Cochain(gt, 2, {(a, b): mat}) for a in range(gt.dim_neg)
+                                 for b in range(a + 1, gt.dim_neg) for mat in bk_mats))
+        basis = amb.basis_cochains()
+        assert len(basis) == amb.dim > 0
+        for r, s in pairs:
+            table = _wedge_table(r, s)
+            assert all(table.values())
+            for c in basis:
+                assert _eval2_table(c, table) == _eval2(c, r, s)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_null_space_sites_never_see_an_empty_row_list(self, n, monkeypatch) -> None:
+        """kernel_basis([]) is empty while the null space of no rows is the
+        whole space: the transfer-map sites that build null spaces always
+        pass at least one row."""
+        sources = [src for src, (_, min_n) in SOURCES.items() if n >= min_n]
+        for src in sources:
+            build_maps(n, src)
+        seen = []
+        null_space = feff.null_space
+
+        def recording(mat, ncols):
+            seen.append(len(mat))
+            return null_space(mat, ncols)
+
+        monkeypatch.setattr(feff, "null_space", recording)
+        for src in sources:
+            EmbeddingMaps(n, src)
+            rep = verify_transfer_memberships(n, src)
+            assert rep.ok, rep.failures
+        assert len(seen) == sum({"path": 3, "ag": 5}[src] for src in sources)
+        assert min(seen) > 0
 
 
 class TestNormalityDefect:

@@ -451,6 +451,28 @@ class TestHodge:
             expected = Subspace(len(labs), kernel_basis(box))
             assert ker_box.spaces.get(w, Subspace(len(labs))) == expected, w
 
+    @pytest.mark.parametrize("blocks", [(1, 1, 2), (2, 3)])
+    @pytest.mark.parametrize("deg", [1, 2])
+    def test_kernel_spaces_match_the_basis_form(self, blocks, deg) -> None:
+        here = block_structure(blocks, deg)
+        below, above = block_structure(blocks, deg - 1), block_structure(blocks, deg + 1)
+        h = hodge(blocks, deg)
+
+        def reference(mat, ncols):
+            if not mat:
+                return Subspace(ncols, [[int(i == j) for j in range(ncols)]
+                                        for i in range(ncols)])
+            return Subspace(ncols, kernel_basis(mat))
+
+        for w, labs in here.labels.items():
+            for module, mat in [
+                    (h.ker_costar, operator_block(here, below, w)),
+                    (h.ker_partial, operator_block(here, above, w)),
+                    (h.ker_box, reference_operator_block(here, here, laplacian, w))]:
+                want = reference(mat, len(labs))
+                got = module.spaces.get(w, Subspace(len(labs)))
+                assert (got.rows, got.pivots) == (want.rows, want.pivots), (module.name, w)
+
     def test_im_costar_members_die_under_costar(self) -> None:
         h = hodge((2, 2), 2)
         for c in h.im_costar.basis_cochains():

@@ -18,6 +18,7 @@ from kostantcheck.ratlin import (
     frac,
     kernel_basis,
     mat_vec,
+    null_space,
     rank,
     rref,
     solve,
@@ -361,3 +362,116 @@ class TestBulkSubspace:
             assert total.rows == expected.rows and total.pivots == expected.pivots
             # the operands keep their own rows
             assert u == Subspace(ambient, u.rows) and v == Subspace(ambient, v.rows)
+
+
+def reference_null_space(mat: list[list], ncols: int) -> Subspace:
+    """The null space through the basis form: no rows constrain nothing."""
+    if not mat:
+        return Subspace(ncols, [[int(i == j) for j in range(ncols)] for i in range(ncols)])
+    return Subspace(ncols, kernel_basis(mat))
+
+
+def reference_intersect(u: Subspace, v: Subspace) -> Subspace:
+    """U ∩ V through the kernel of the column-stacked bases, recombined and
+    reduced again."""
+    a, b = u.rows, v.rows
+    if not a or not b:
+        return Subspace(u.ambient)
+    stacked = [[a[i][r] for i in range(len(a))] + [b[j][r] for j in range(len(b))]
+               for r in range(u.ambient)]
+    vectors = []
+    for k in kernel_basis(stacked):
+        vec = zero_vector(u.ambient)
+        for c, row in zip(k[:len(a)], a):
+            vec = [x + c * y for x, y in zip(vec, row)]
+        vectors.append(vec)
+    return Subspace(u.ambient, vectors)
+
+
+def assert_same_echelon(got: Subspace, want: Subspace) -> None:
+    assert got.ambient == want.ambient
+    assert got.rows == want.rows and got.pivots == want.pivots
+    assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
+class TestNullSpace:
+    def test_matches_the_basis_form_on_sparse_matrices(self) -> None:
+        rng = random.Random(61)
+        for _ in range(150):
+            nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+            mat = rng.choice([sparse_matrix, rational_matrix])(rng, nrows, ncols)
+            if rng.random() < 0.5:
+                mat = mixed_entries(rng, mat)
+            assert_same_echelon(null_space(mat, ncols), reference_null_space(mat, ncols))
+
+    def test_integer_operator_like_blocks(self) -> None:
+        rng = random.Random(67)
+        for _ in range(100):
+            ncols = rng.randint(1, 9)
+            mat = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(ncols)]
+                   for _ in range(rng.randint(1, 9))]
+            assert_same_echelon(null_space(mat, ncols), reference_null_space(mat, ncols))
+
+    def test_edge_shapes(self) -> None:
+        eye3 = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+        assert null_space([[0, 0, 0], [0, 0, 0]], 3).rows == eye3
+        assert null_space([], 3).rows == eye3
+        assert null_space([], 0).dim == 0
+        assert null_space([[2, 1], [1, 1]], 2).dim == 0
+        assert null_space([[F(1, 2)], [F(0)]], 1).dim == 0
+        assert null_space([[0], [0]], 1).rows == [[F(1)]]
+        assert_same_echelon(null_space([[1, 2, 3]], 3), reference_null_space([[1, 2, 3]], 3))
+        with pytest.raises(ValueError):
+            null_space([[1, 2]], 3)
+
+    def test_frozen_echelon_basis(self) -> None:
+        # x0 + 2 x1 + 3 x3 = 0 and x2 − x3 = 0, solved for the last columns.
+        space = null_space([[1, 2, 0, 3], [0, 0, 1, -1]], 4)
+        assert space.pivots == [0, 1]
+        assert space.rows == [[F(1), F(0), F(-1, 3), F(-1, 3)],
+                              [F(0), F(1), F(-2, 3), F(-2, 3)]]
+
+
+def random_space(rng: random.Random, ambient: int, kind: str) -> Subspace:
+    if kind == "zero":
+        return Subspace(ambient)
+    if kind == "whole":
+        return Subspace(ambient, [[int(i == j) for j in range(ambient)] for i in range(ambient)])
+    return Subspace(ambient, spanning_vectors(rng, ambient))
+
+
+class TestIntersect:
+    def test_matches_the_kernel_route(self) -> None:
+        rng = random.Random(71)
+        kinds = ("zero", "whole", "span", "span", "span")
+        for _ in range(150):
+            ambient = rng.randint(1, 7)
+            u = random_space(rng, ambient, rng.choice(kinds))
+            v = random_space(rng, ambient, rng.choice(kinds))
+            assert_same_echelon(u.intersect(v), reference_intersect(u, v))
+
+    def test_disjoint_nested_equal_and_zero(self) -> None:
+        e = [[int(i == j) for j in range(5)] for i in range(5)]
+        low = Subspace(5, [e[0], [1, 1, 0, 0, 0]])
+        high = Subspace(5, [[0, 0, 1, 2, 0], e[4]])
+        nested = Subspace(5, [[1, 1, 0, 0, 0]])
+        diag = Subspace(5, [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]])
+        zero = Subspace(5)
+        for u, v in [(low, high), (low, nested), (nested, low), (low, low),
+                     (diag, low), (diag, high), (zero, low), (low, zero)]:
+            assert_same_echelon(u.intersect(v), reference_intersect(u, v))
+        assert low.intersect(high).dim == 0
+        assert low.intersect(nested) == nested and nested.intersect(low) == nested
+        assert low.intersect(low) == low
+        assert zero.intersect(low).dim == 0 and low.intersect(zero).dim == 0
+
+    def test_combinations_of_an_echelon_basis(self) -> None:
+        rng = random.Random(73)
+        for _ in range(100):
+            ambient = rng.randint(1, 7)
+            space = Subspace(ambient, spanning_vectors(rng, ambient))
+            coords = Subspace(space.dim, spanning_vectors(rng, space.dim)) if space.dim \
+                else Subspace(0)
+            spanned = [[sum((k * row[j] for k, row in zip(krow, space.rows)), F(0))
+                        for j in range(ambient)] for krow in coords.rows]
+            assert_same_echelon(space.combinations(coords), Subspace(ambient, spanned))
