@@ -341,5 +341,6 @@ def run_check(name: str, n: int, seed: int, trials: int) -> Report | None:
     rng = random.Random(f"{seed}:{name}:{n}")
     rep = replace(runner(n, rng, trials), name=name)
     if not rep.cases:
-        rep = replace(rep, ok=False, failures=[*rep.failures, "the cell ran no cases"])
+        rep = replace(rep, ok=False, failures=[*rep.failures, "the cell ran no cases"],
+                      failed=rep.failed + 1)
     return rep

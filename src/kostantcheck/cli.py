@@ -14,9 +14,10 @@ JSON so that runs with identical (check, n, seed, trials) are byte-
 identical; measured times appear in the text format only.  Exit codes:
 0 when every report passes, 1 when any cell fails (a cell that ran no
 cases fails), 2 for usage or input errors, such as a non-positive
---trials.  Cells whose size lies outside a check's window (the suites built
-on the almost-Grassmannian source need n ≥ 3) are skipped without a
-report, so ranged runs over mixed windows can still exit 0.
+--trials or an --output path that cannot be written.  Cells whose size
+lies outside a check's window (the suites built on the almost-Grassmannian
+source need n ≥ 3) are skipped without a report, so ranged runs over mixed
+windows can still exit 0.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 from .checks import CHECK_NAMES, run_check
 from .cochain_io import CochainFormatError, load_cochain, save_cochain
 from .feff import SOURCES, Report, build_maps, transfer
-from .kostant import costar
+from .kostant import Cochain, costar
 
 
 def _report_row(rep: Report) -> dict[str, object]:
@@ -72,11 +73,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"{rep.name:<16} {rep.n:>2} {status:<6} "
                   f"{rep.cases:>8} {elapsed_ms:>8}")
             if not rep.ok:
-                print(f"  counterexample: {rep.failures[0]}")
+                count = f"{rep.failed} failure{'s' if rep.failed != 1 else ''}"
+                print(f"  counterexample: {rep.failures[0]} ({count})")
         failed = sum(1 for rep, _ in reports if not rep.ok)
         print(f"{len(reports)} report(s), "
               + ("all PASS" if not failed else f"{failed} FAIL"))
     return 0 if all(rep.ok for rep, _ in reports) else 1
+
+
+def _save(c: Cochain, path: str) -> int:
+    try:
+        save_cochain(c, path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_costar(args: argparse.Namespace) -> int:
@@ -89,8 +100,7 @@ def cmd_costar(args: argparse.Namespace) -> int:
         print("error: the codifferential needs a cochain of degree >= 1",
               file=sys.stderr)
         return 2
-    save_cochain(costar(c), args.output)
-    return 0
+    return _save(costar(c), args.output)
 
 
 def cmd_transfer(args: argparse.Namespace) -> int:
@@ -112,8 +122,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
         print("error: the transfer applies to degree-2 cochains",
               file=sys.stderr)
         return 2
-    save_cochain(transfer(c, build_maps(n, args.source)), args.output)
-    return 0
+    return _save(transfer(c, build_maps(n, args.source)), args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -53,7 +53,8 @@ class MapConstructionError(ValueError):
 
 @dataclass
 class Report:
-    """Outcome of one verification sweep; ``checks.run_check`` sets the name."""
+    """Outcome of one verification sweep; ``checks.run_check`` sets the name.
+    ``failed`` counts every failure, ``failures`` keeps the first few."""
 
     n: int
     ok: bool
@@ -61,6 +62,10 @@ class Report:
     failures: list[str] = field(default_factory=list)
     details: dict[str, object] = field(default_factory=dict)
     name: str = ""
+    failed: int = 0
+
+    def __post_init__(self) -> None:
+        self.failed = max(self.failed, len(self.failures))
 
 
 class _Checker:
@@ -68,16 +73,18 @@ class _Checker:
 
     def __init__(self) -> None:
         self.cases = 0
+        self.failed = 0
         self.failures: list[str] = []
 
     def check(self, ok: bool, message: str) -> None:
         self.cases += 1
+        self.failed += not ok
         if not ok and len(self.failures) < 8:
             self.failures.append(message)
 
     def report(self, n: int, details: dict[str, object] | None = None) -> Report:
-        return Report(n=n, ok=not self.failures, cases=self.cases,
-                      failures=self.failures, details=details or {})
+        return Report(n=n, ok=not self.failed, cases=self.cases, failures=self.failures,
+                      details=details or {}, failed=self.failed)
 
 
 def _unit(dim: int, i: int) -> list[Fraction]:

@@ -51,13 +51,16 @@ def smat_scale(x: SparseMat, c) -> SparseMat:
 
 
 def smat_add_into(acc: SparseMat, x: SparseMat, coeff=1) -> None:
-    """acc += coeff·x, dropping entries that cancel to zero."""
+    """acc += coeff·x, dropping entries that cancel to zero; a term on an
+    absent key is stored as is, without adding it to 0."""
     if not coeff:
         return
     # An int coefficient 1 leaves v and its type as they are: skip the product.
     unit = type(coeff) is int and coeff == 1
     for pos, v in x.items():
-        new = acc.get(pos, 0) + (v if unit else coeff * v)
+        term = v if unit else coeff * v
+        old = acc.get(pos)
+        new = term if old is None else old + term
         if new:
             acc[pos] = new
         else:
@@ -77,14 +80,16 @@ def smat_bracket(x: SparseMat, y: SparseMat) -> SparseMat:
         for (c, d), yv in y.items():
             if b == c:
                 pos = (a, d)
-                new = out.get(pos, 0) + xv * yv
+                old = out.get(pos)
+                new = xv * yv if old is None else old + xv * yv
                 if new:
                     out[pos] = new
                 else:
                     out.pop(pos, None)
             if d == a:
                 pos = (c, b)
-                new = out.get(pos, 0) - yv * xv
+                old = out.get(pos)
+                new = -(yv * xv) if old is None else old - yv * xv
                 if new:
                     out[pos] = new
                 else:

@@ -443,7 +443,7 @@ class ChainModule:
             if other_space is None:
                 if space.dim:
                     return False
-            elif not all(other_space.contains(row) for row in space.rows):
+            elif not other_space.contains_subspace(space):
                 return False
         return True
 

@@ -4,8 +4,8 @@ Everything in this package ultimately reduces to row operations on matrices
 of exact entries, so this module keeps the conventions in one place:
 
 * matrices are dense lists of row lists whose entries are ``int`` or
-  ``fractions.Fraction`` (the two mix exactly); results of elimination are
-  always ``Fraction``;
+  ``fractions.Fraction`` (the two mix exactly); :func:`rref`,
+  :func:`kernel_basis` and :func:`solve` return ``Fraction``;
 * elimination is fraction-free: each row is scaled to coprime integers and
   reduced Gauss–Jordan over Python ``int`` (integer-preserving elimination
   as in Bareiss 1968, with each updated row divided by the gcd of its
@@ -13,8 +13,9 @@ of exact entries, so this module keeps the conventions in one place:
   so the inner loop never builds a ``Fraction``;
 * a row update touches the nonzero support of the pivot row, so the
   structural zeros that dominate the operator blocks cost nothing;
-* the canonical witness for a subspace is its reduced row-echelon basis, so
-  subspace equality is literal equality of bases;
+* the canonical witness for a subspace is its reduced row-echelon basis as
+  primitive integer rows with positive pivots, which is unique, so subspace
+  equality is equality of ``int`` lists; ``Fraction`` rows are derived;
 * each subspace comes from one elimination: :func:`null_space` of the
   column-reversed matrix, :meth:`Subspace.intersect` of the Zassenhaus stack
   [[U | U], [V | 0]]; the rows of both come out reduced row-echelon and go
@@ -61,7 +62,8 @@ def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
 
 def _eliminate(rows: list[list[int]]) -> list[int]:
     """The integer Gauss–Jordan elimination of :func:`rref`, in place on
-    coprime integer rows; returns the pivot columns, one per leading row."""
+    coprime integer rows; returns the pivot columns, one per leading row,
+    and leaves each leading row primitive with a positive pivot."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivot_cols: list[int] = []
@@ -89,6 +91,9 @@ def _eliminate(rows: list[list[int]]) -> list[int]:
         pivot_cols.append(col)
         if lead + 1 == nrows:
             break
+    for r, pc in enumerate(pivot_cols):
+        if rows[r][pc] < 0:
+            rows[r] = [-x for x in rows[r]]
     return pivot_cols
 
 
@@ -153,20 +158,25 @@ def null_space(mat: Sequence[Sequence[int | Fraction]], ncols: int) -> "Subspace
     The column-reversed matrix is eliminated once.  Its back-substituted
     kernel basis, read in the original column order, has a leading 1 at each
     free column and other entries only at pivot columns to its right, so it
-    is already reduced row-echelon.  No rows give all of Q^ncols.
+    is already reduced row-echelon, and primitive once scaled by the lcm of
+    its denominators.  No rows give all of Q^ncols.
     """
     if any(len(row) != ncols for row in mat):
         raise ValueError("row has wrong length")
     rows = [_integer_row(row[::-1]) for row in mat if any(row)]
     pivot_cols, last = _eliminate(rows), ncols - 1
     free = sorted(set(range(ncols)).difference(last - pc for pc in pivot_cols))
-    zero, one = Fraction(0), Fraction(1)
-    basis = {f: [one if j == f else zero for j in range(ncols)] for f in free}
-    for row, pc in zip(rows, pivot_cols):
-        for j in range(pc + 1, ncols):
-            if row[j]:
-                basis[last - j][last - pc] = Fraction(-row[j], row[pc])
-    return Subspace._trusted(ncols, list(basis.values()), free)
+    basis = []
+    for f in free:
+        used = [(last - pc, row[last - f], row[pc])
+                for row, pc in zip(rows, pivot_cols) if row[last - f]]
+        den = lcm(*[p // gcd(x, p) for _, x, p in used])
+        vec = [0] * ncols
+        vec[f] = den
+        for col, x, p in used:
+            vec[col] = -x * den // p
+        basis.append(vec)
+    return Subspace._trusted(ncols, basis, free)
 
 
 def solve(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector | None:
@@ -191,33 +201,43 @@ def solve(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector 
 class Subspace:
     """A linear subspace of Q^ambient, held in reduced row-echelon form.
 
-    The echelon basis is the canonical witness: two Subspaces are equal as
-    objects iff they are equal as subspaces.  Construction row-reduces the
-    spanning vectors in one :func:`rref`, so feeding redundant spanning
-    vectors is cheap; :meth:`insert` extends the span one vector at a time.
+    The canonical witness is ``int_rows``: the echelon basis as primitive
+    integer rows, each positive at its pivot column, where the other rows
+    are zero.  It is unique, so two Subspaces are equal as objects iff they
+    are equal as subspaces; ``rows`` divides each row by its pivot, on first
+    read.  Construction row-reduces the spanning vectors in one elimination;
+    :meth:`insert` extends the span one vector at a time.
     """
 
-    __slots__ = ("ambient", "rows", "pivots")
+    __slots__ = ("ambient", "int_rows", "pivots", "_rows")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence[int | Fraction]] = ()) -> None:
         vectors = list(vectors)
         if any(len(v) != ambient for v in vectors):
             raise ValueError("vector has wrong ambient dimension")
-        reduced, rk = rref([v for v in vectors if any(v)])
-        self.ambient = ambient
-        self.rows: list[Vector] = reduced[:rk]
-        self.pivots: list[int] = [next(j for j, x in enumerate(row) if x) for row in self.rows]
+        rows = [_integer_row(v) for v in vectors if any(v)]
+        self.ambient, self.pivots, self._rows = ambient, _eliminate(rows), None
+        self.int_rows = rows[:len(self.pivots)]
 
     @classmethod
-    def _trusted(cls, ambient: int, rows: list[Vector], pivots: list[int]) -> "Subspace":
-        """A Subspace from a reduced row-echelon basis made inside this module."""
+    def _trusted(cls, ambient: int, int_rows: list[list[int]], pivots: list[int]) -> "Subspace":
+        """A Subspace from canonical integer rows made inside this module."""
         space = object.__new__(cls)
-        space.ambient, space.rows, space.pivots = ambient, rows, pivots
+        space.ambient, space.int_rows, space.pivots, space._rows = ambient, int_rows, pivots, None
         return space
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self) -> list[Vector]:
+        """The reduced row-echelon basis as ``Fraction`` rows with pivot 1."""
+        if self._rows is None:
+            zero = Fraction(0)
+            self._rows = [[Fraction(x, row[pc]) if x else zero for x in row]
+                          for row, pc in zip(self.int_rows, self.pivots)]
+        return self._rows
 
     def reduce(self, vec: Sequence[Fraction]) -> Vector:
         """Residual of ``vec`` after eliminating all basis pivots."""
@@ -232,36 +252,42 @@ class Subspace:
                         out[j] -= f * row[j]
         return out
 
-    def insert(self, vec: Sequence[Fraction]) -> bool:
-        """Add ``vec`` to the span; returns True if the dimension grew."""
-        res = self.reduce(vec)
-        pc = next((j for j, x in enumerate(res) if x), None)
-        if pc is None:
-            return False
-        inv = Fraction(1) / res[pc]
-        if inv != 1:
-            res = [x * inv for x in res]
-        for row in self.rows:
-            f = row[pc]
-            if f:
-                for j in range(pc, self.ambient):
-                    if res[j]:
-                        row[j] -= f * res[j]
-        at = next((k for k, q in enumerate(self.pivots) if q > pc), len(self.pivots))
-        self.rows.insert(at, res)
-        self.pivots.insert(at, pc)
-        return True
+    def _combine(self, coeffs: Sequence[int], out: list[int]) -> list[int]:
+        """den·out + Σ coeffs[i]·(den/p_i)·int_rows[i], where p_i is the pivot
+        entry of row i and den the lcm of the p_i that are used."""
+        used = [(c, row, pc) for c, row, pc in zip(coeffs, self.int_rows, self.pivots) if c]
+        den = lcm(*[row[pc] for _, row, pc in used])
+        if den != 1:
+            out = [den * x for x in out]
+        for c, row, pc in used:
+            m = c * (den // row[pc])
+            for j in range(pc, self.ambient):
+                if row[j]:
+                    out[j] += m * row[j]
+        return out
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(vec))
+    def insert(self, vec: Sequence[int | Fraction]) -> bool:
+        """Add ``vec`` to the span; returns True if the dimension grew."""
+        dim = self.dim
+        grown = Subspace(self.ambient, self.int_rows + [vec])
+        self.int_rows, self.pivots, self._rows = grown.int_rows, grown.pivots, None
+        return self.dim > dim
+
+    def contains(self, vec: Sequence[int | Fraction]) -> bool:
+        """The basis is reduced, so ``vec`` is in the span iff it is the
+        combination with coefficient vec[pivot_i]/p_i on row i."""
+        if len(vec) != self.ambient:
+            raise ValueError("vector has wrong ambient dimension")
+        out = _integer_row(vec)
+        return not any(self._combine([-out[pc] for pc in self.pivots], out))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.rows)
+        return all(self.contains(row) for row in other.int_rows)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        return Subspace(self.ambient, self.rows + other.rows)
+        return Subspace(self.ambient, self.int_rows + other.int_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """U ∩ V by Zassenhaus: one elimination of [[U | U], [V | 0]].
@@ -272,13 +298,12 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
         d = self.ambient
-        rows = [r + r for r in map(_integer_row, self.rows)]
-        rows += [_integer_row(v) + [0] * d for v in other.rows]
-        zero = Fraction(0)
+        rows = [r + r for r in self.int_rows]
+        rows += [v + [0] * d for v in other.int_rows]
         meet, pivots = [], []
         for row, pc in zip(rows, _eliminate(rows)):
             if pc >= d:
-                meet.append([Fraction(x, row[pc]) if x else zero for x in row[d:]])
+                meet.append(row[d:])
                 pivots.append(pc - d)
         return Subspace._trusted(d, meet, pivots)
 
@@ -288,24 +313,16 @@ class Subspace:
         ``pivots[p]`` for ``p`` in ``coords.pivots``."""
         if coords.ambient != self.dim:
             raise ValueError("coordinates have wrong ambient dimension")
-        out = []
-        for k in coords.rows:
-            vec = zero_vector(self.ambient)
-            for coeff, row in zip(k, self.rows):
-                if coeff:
-                    for j, x in enumerate(row):
-                        if x:
-                            vec[j] += coeff * x
-            out.append(vec)
+        out = [_integer_row(self._combine(k, [0] * self.ambient)) for k in coords.int_rows]
         return Subspace._trusted(self.ambient, out, [self.pivots[p] for p in coords.pivots])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.rows == other.rows
+        return self.ambient == other.ambient and self.int_rows == other.int_rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient, tuple(tuple(r) for r in self.rows)))
+        return hash((self.ambient, tuple(map(tuple, self.int_rows))))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

@@ -202,6 +202,8 @@ def test_criterion_06_path_normality() -> None:
         got = (rep.details["literal_defects"],
                rep.details["bracket_literal_defects"])
         assert got == expected_defects[n], (n, rep.details)
+        # The pattern behind the frozen table, which holds at n = 5, 6 too.
+        assert got == ((3 * n * n - n) // 2, n), (n, rep.details)
         cases[n] = rep.cases
     print(f"[criterion 06] path normality: PASS — corrected identity on the "
           f"full constrained basis, literal-failure loci pinned exactly, "

@@ -27,7 +27,7 @@ from kostantcheck.cochain_io import (
     parse_rational,
     save_cochain,
 )
-from kostantcheck.feff import Report, build_maps, transfer
+from kostantcheck.feff import Report, _Checker, build_maps, transfer
 from kostantcheck.gla import graded_sl
 from kostantcheck.kostant import Cochain, costar
 
@@ -248,8 +248,27 @@ class TestCheckRegistry:
     def test_cell_with_no_cases_fails(self, name: str) -> None:
         rep = run_check(name, 3, 1, 0)
         assert rep is not None and rep.cases == 0
-        assert not rep.ok
+        assert not rep.ok and rep.failed == 1
         assert rep.failures == ["the cell ran no cases"]
+
+    def test_every_failure_is_counted(self, capsys, monkeypatch) -> None:
+        def ten_failures(n, rng, trials):
+            chk = _Checker()
+            for k in range(12):
+                chk.check(k >= 10, f"failure {k}")
+            return chk.report(n)
+
+        monkeypatch.setitem(CHECKS, "jacobi", (2, ten_failures))
+        rep = run_check("jacobi", 2, 1, 1)
+        assert rep.failed == 10 and rep.cases == 12
+        assert rep.failures == [f"failure {k}" for k in range(8)]
+        assert cli.main(["verify", "--check", "jacobi", "--n-min", "2", "--n-max", "2"]) == 1
+        assert "counterexample: failure 0 (10 failures)" in capsys.readouterr().out
+        assert cli.main(["verify", "--check", "jacobi", "--n-min", "2", "--n-max", "2",
+                         "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out) == [
+            {"check": "jacobi", "n": 2, "status": "FAIL", "cases_run": 12,
+             "wall_time_ms": 0, "counterexample": "failure 0"}]
 
 
 class TestVerifyCommand:
@@ -328,7 +347,7 @@ class TestVerifyCommand:
                        "--n-min", "2", "--n-max", "2"])
         text = capsys.readouterr().out
         assert rc == 1
-        assert "counterexample: stub mismatch" in text
+        assert "counterexample: stub mismatch (1 failure)" in text
         assert "1 FAIL" in text
 
 
@@ -401,3 +420,17 @@ class TestTransferCommand:
                        "--output", str(tmp_path / "out.json")])
         assert rc == 2
         assert "degree-2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["costar", "transfer"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, command, where) -> None:
+    src = str(tmp_path / "in.json")
+    save_cochain(sample_cochain(blocks=(1, 1, 2), deg=2, seed=8), src)
+    dst = tmp_path / "absent" / "out.json" if where == "missing-directory" else tmp_path
+    extra = ["--source", "path"] if command == "transfer" else []
+    rc = cli.main([command, "--input", src, *extra, "--output", str(dst)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(dst) in err
+    assert "Traceback" not in err and err.count("\n") == 1

@@ -98,6 +98,59 @@ def test_add_into_keeps_the_value_types_of_the_product() -> None:
     assert acc == {(1, 1): 7, (1, 0): F(3, 2)}
 
 
+def random_sparse(rng: random.Random, m: int) -> dict:
+    """Sparse m×m matrix with int and Fraction entries (some integral), no
+    stored zeros."""
+    x: dict = {}
+    for _ in range(rng.randint(0, 2 * m)):
+        v = rng.choice([rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(1, 2))])
+        if v:
+            x[(rng.randrange(m), rng.randrange(m))] = v
+    return x
+
+
+def dense(x: dict, m: int) -> list[list]:
+    return [[x.get((i, j), 0) for j in range(m)] for i in range(m)]
+
+
+def test_add_into_matches_dense_and_keeps_the_product_type() -> None:
+    rng = random.Random(101)
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        acc, x = random_sparse(rng, m), random_sparse(rng, m)
+        coeff = rng.choice([1, -1, 2, 0, F(1), F(-3, 2)])
+        want = [[a + coeff * b for a, b in zip(ra, rb)]
+                for ra, rb in zip(dense(acc, m), dense(x, m))]
+        fresh = {pos: coeff * v for pos, v in x.items() if pos not in acc}
+        smat_add_into(acc, x, coeff)
+        assert dense(acc, m) == want and all(acc.values())
+        assert all(type(acc[pos]) is type(v) for pos, v in fresh.items() if v)
+
+
+def test_bracket_matches_dense_and_keeps_the_product_type() -> None:
+    rng = random.Random(103)
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        x, y = random_sparse(rng, m), random_sparse(rng, m)
+        xd, yd = dense(x, m), dense(y, m)
+        want = [[sum(xd[i][k] * yd[k][j] - yd[i][k] * xd[k][j] for k in range(m))
+                 for j in range(m)] for i in range(m)]
+        products: dict = {}
+        for (a, b), xv in x.items():
+            for (c, d), yv in y.items():
+                if b == c:
+                    products.setdefault((a, d), []).append(xv * yv)
+                if d == a:
+                    products.setdefault((c, b), []).append(yv * xv)
+        got = smat_bracket(x, y)
+        assert dense(got, m) == want and all(got.values())
+        for pos, v in got.items():
+            # A mixed entry may cancel to zero and restart with either type.
+            types = {type(p) for p in products[pos]}
+            if len(types) == 1:
+                assert type(v) in types
+
+
 def test_jacobi_exhaustive_sl4() -> None:
     assert jacobi_holds(4)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -475,3 +476,90 @@ class TestIntersect:
             spanned = [[sum((k * row[j] for k, row in zip(krow, space.rows)), F(0))
                         for j in range(ambient)] for krow in coords.rows]
             assert_same_echelon(space.combinations(coords), Subspace(ambient, spanned))
+
+
+def assert_canonical(space: Subspace) -> None:
+    """Primitive integer rows with positive pivots, zero at every other
+    pivot, and ``rows`` the same basis divided by the pivots."""
+    assert len(space.int_rows) == len(space.pivots) == space.dim
+    for k, (row, pc) in enumerate(zip(space.int_rows, space.pivots)):
+        assert len(row) == space.ambient and all(type(x) is int for x in row)
+        assert gcd(*row) == 1 and row[pc] > 0 and not any(row[:pc])
+        assert all(other[pc] == 0 for i, other in enumerate(space.int_rows) if i != k)
+    assert space.rows == [[F(x, row[pc]) for x in row]
+                          for row, pc in zip(space.int_rows, space.pivots)]
+    assert all(type(x) is Fraction for row in space.rows for x in row)
+
+
+def routes_to(space: Subspace, vectors: list[list]) -> list[Subspace]:
+    """The same subspace, spanned by ``vectors``, built by every constructor."""
+    d = space.ambient
+    whole = Subspace(d, [[int(i == j) for j in range(d)] for i in range(d)])
+    half = len(vectors) // 2
+    annihilator = null_space(space.rows, d)
+    return [Subspace(d, vectors), inserted_one_by_one(d, vectors),
+            null_space(annihilator.rows, d),
+            space.intersect(whole), whole.intersect(space), space.intersect(space),
+            Subspace(d, vectors[:half]).sum_with(Subspace(d, vectors[half:])),
+            space.sum_with(Subspace(d)), whole.combinations(space),
+            space.combinations(Subspace(space.dim, [[int(i == j) for j in range(space.dim)]
+                                                    for i in range(space.dim)]))]
+
+
+class TestIntegerSubspace:
+    def test_rows_are_the_rref_of_the_spanning_set(self) -> None:
+        rng = random.Random(79)
+        for _ in range(120):
+            ambient = rng.randint(1, 7)
+            vectors = (spanning_vectors(rng, ambient) if rng.random() < 0.5 else
+                       mixed_entries(rng, rational_matrix(rng, rng.randint(0, 7), ambient)))
+            space = Subspace(ambient, vectors)
+            reduced, rk = rref(vectors)
+            assert space.rows == reduced[:rk] and space.dim == rk
+            assert_canonical(space)
+
+    def test_equality_and_hash_agree_across_constructors(self) -> None:
+        rng = random.Random(83)
+        for _ in range(60):
+            ambient = rng.randint(1, 6)
+            vectors = spanning_vectors(rng, ambient)
+            space = Subspace(ambient, vectors)
+            for other in routes_to(space, vectors):
+                assert_canonical(other)
+                assert other == space and hash(other) == hash(space)
+                assert (other.rows, other.pivots) == (space.rows, space.pivots)
+            if space.dim < ambient:
+                outside = next(e for e in ([int(i == j) for j in range(ambient)]
+                                           for i in range(ambient)) if not space.contains(e))
+                assert space.sum_with(Subspace(ambient, [outside])) != space
+
+    def test_insert_after_reading_rows_and_comparing(self) -> None:
+        rng = random.Random(89)
+        for _ in range(60):
+            ambient = rng.randint(1, 6)
+            vectors = spanning_vectors(rng, ambient) + spanning_vectors(rng, ambient)
+            k = rng.randint(0, len(vectors))
+            space = Subspace(ambient, vectors[:k])
+            assert space.rows == Subspace(ambient, vectors[:k]).rows
+            assert space == Subspace(ambient, vectors[:k])
+            for vec in vectors[k:]:
+                space.insert(vec)
+            fresh = Subspace(ambient, vectors)
+            assert space == fresh and hash(space) == hash(fresh)
+            assert (space.rows, space.pivots) == (fresh.rows, fresh.pivots)
+            assert_canonical(space)
+
+    def test_contains_agrees_with_a_zero_residual(self) -> None:
+        rng = random.Random(97)
+        for _ in range(80):
+            ambient = rng.randint(1, 7)
+            space = Subspace(ambient, spanning_vectors(rng, ambient))
+            members = []
+            for _ in range(3):
+                coeffs = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in space.rows]
+                members.append([sum((c * row[j] for c, row in zip(coeffs, space.rows)), F(0))
+                                for j in range(ambient)])
+            others = rational_matrix(rng, 4, ambient)
+            for vec in members + others:
+                assert space.contains(vec) == (not any(space.reduce(vec)))
+            assert all(space.contains(vec) for vec in members)
