@@ -180,10 +180,8 @@ def check_ag_costar(n: int, rng: random.Random, trials: int) -> Report:
     basis = hodge((2, n), 2).ker_costar.basis_cochains()
     chk = _Checker()
     for trial in range(trials):
-        rep = ag_costar_check(_random_combination(basis, rng), maps)
-        chk.cases += rep.cases
-        for msg in rep.failures:
-            chk.failures.append(f"trial {trial}: {msg}")
+        chk.merge(ag_costar_check(_random_combination(basis, rng), maps),
+                  f"trial {trial}: ")
     return chk.report(n, {
         "trials": trials, "ker_costar_dim": len(basis),
     })
@@ -242,14 +240,14 @@ def check_normalize_step(n: int, rng: random.Random, trials: int) -> Report:
 def _merge_sources(n: int, sweep: Callable[[int, str], Report]) -> Report:
     """Run a two-source sweep on every source whose window holds n, merging
     the reports with failures and details prefixed by the source."""
-    reports = [(src, sweep(n, src)) for src, (_, min_n) in SOURCES.items()
-               if n >= min_n]
-    return Report(
-        n=n, ok=all(rep.ok for _, rep in reports),
-        cases=sum(rep.cases for _, rep in reports),
-        failures=[f"{src}: {msg}" for src, rep in reports for msg in rep.failures],
-        details={f"{src}_{key}": val
-                 for src, rep in reports for key, val in rep.details.items()})
+    chk = _Checker()
+    details: dict[str, object] = {}
+    for src, (_, min_n) in SOURCES.items():
+        if n >= min_n:
+            rep = sweep(n, src)
+            chk.merge(rep, f"{src}: ")
+            details.update((f"{src}_{key}", val) for key, val in rep.details.items())
+    return chk.report(n, details)
 
 
 def check_memberships(n: int, rng: random.Random, trials: int) -> Report:

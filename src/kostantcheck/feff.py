@@ -64,9 +64,6 @@ class Report:
     name: str = ""
     failed: int = 0
 
-    def __post_init__(self) -> None:
-        self.failed = max(self.failed, len(self.failures))
-
 
 class _Checker:
     """Accumulates exact comparisons for a Report."""
@@ -78,9 +75,20 @@ class _Checker:
 
     def check(self, ok: bool, message: str) -> None:
         self.cases += 1
-        self.failed += not ok
-        if not ok and len(self.failures) < 8:
+        if not ok:
+            self.fail(message)
+
+    def fail(self, message: str) -> None:
+        """Count one failure, keeping its message while fewer than 8 are kept."""
+        self.failed += 1
+        if len(self.failures) < 8:
             self.failures.append(message)
+
+    def merge(self, rep: Report, prefix: str) -> None:
+        """Add a sub-report's cases and failures, its messages prefixed."""
+        self.cases += rep.cases
+        self.failed += rep.failed
+        self.failures.extend(prefix + msg for msg in rep.failures[:8 - len(self.failures)])
 
     def report(self, n: int, details: dict[str, object] | None = None) -> Report:
         return Report(n=n, ok=not self.failed, cases=self.cases, failures=self.failures,
@@ -736,13 +744,12 @@ def verify_lemma_path(n: int, rng: object = None, trials: int = 0) -> Report:
 
 
 @lru_cache(maxsize=None)
-def _ag_bracket_identity(n: int) -> tuple[int, tuple[str, ...]]:
+def _ag_bracket_identity(n: int) -> Report:
     """[π*(Z), i′(Φ)] = α([Z, Φ]) − C(Z, Φ) with the correction supported in
     row 2 and columns ≥ 3, C(Z, Φ)_{2, 3+k} = Σ_c Φ_{1c} Z_{c, 2+k}."""
     maps = build_maps(n, "ag")
     g = maps.g
-    cases = 0
-    failures: list[str] = []
+    chk = _Checker()
     for (a, b) in g.pos_positions:
         z = elementary(a, b)
         pz = maps.pi_star(z)
@@ -758,10 +765,9 @@ def _ag_bracket_identity(n: int) -> tuple[int, tuple[str, ...]]:
                 if cf:
                     corr[(2, 3 + k)] = cf
             smat_add_into(rhs, corr, -1)
-            cases += 1
-            if smat_sub(lhs, rhs) and len(failures) < 4:
-                failures.append(f"bracket identity failed at Z=E{a}{b}, basis {v}")
-    return cases, tuple(failures)
+            chk.check(not smat_sub(lhs, rhs),
+                      f"bracket identity failed at Z=E{a}{b}, basis {v}")
+    return chk.report(n)
 
 
 def ag_costar_check(kappa: Cochain, maps: EmbeddingMaps | None = None) -> Report:
@@ -799,9 +805,7 @@ def ag_costar_check(kappa: Cochain, maps: EmbeddingMaps | None = None) -> Report
               "vanishing of ∂̃*(transfer κ) does not match the contraction")
     chk.check(module_E(n).contains(lhs),
               "∂̃*(transfer κ) left the E-module")
-    br_cases, br_failures = _ag_bracket_identity(n)
-    chk.cases += br_cases
-    chk.failures.extend(br_failures)
+    chk.merge(_ag_bracket_identity(n), "")
     return chk.report(n, {
         "contraction_entries": len(contraction),
         "lhs_zero": lhs.is_zero(),
@@ -1120,8 +1124,8 @@ def verify_harmonic_types(n: int, source: str) -> Report:
     if source == "ag":
         data = penrose.check_harmonic_torsion_type(n)
         chk.cases = 1
-        if not data["ok"]:
-            chk.failures.extend(str(f) for f in data["failures"])
+        for msg in data["failures"]:
+            chk.fail(str(msg))
         return chk.report(n, {
             "harmonic_dim": data["harmonic_dim"],
             "tau_dim": data["tau_dim"],

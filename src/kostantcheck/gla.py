@@ -51,8 +51,7 @@ def smat_scale(x: SparseMat, c) -> SparseMat:
 
 
 def smat_add_into(acc: SparseMat, x: SparseMat, coeff=1) -> None:
-    """acc += coeff·x, dropping entries that cancel to zero; a term on an
-    absent key is stored as is, without adding it to 0."""
+    """acc += coeff·x, dropping entries that cancel; a new key takes the term as is."""
     if not coeff:
         return
     # An int coefficient 1 leaves v and its type as they are: skip the product.

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from kostantcheck import cli
+from kostantcheck import checks, cli, feff, penrose
 from kostantcheck.checks import CHECK_NAMES, CHECKS, run_check
 from kostantcheck.cochain_io import (
     CochainFormatError,
@@ -27,7 +27,8 @@ from kostantcheck.cochain_io import (
     parse_rational,
     save_cochain,
 )
-from kostantcheck.feff import Report, _Checker, build_maps, transfer
+from kostantcheck.feff import (Report, _Checker, build_maps, transfer,
+                               verify_harmonic_types)
 from kostantcheck.gla import graded_sl
 from kostantcheck.kostant import Cochain, costar
 
@@ -270,6 +271,39 @@ class TestCheckRegistry:
             {"check": "jacobi", "n": 2, "status": "FAIL", "cases_run": 12,
              "wall_time_ms": 0, "counterexample": "failure 0"}]
 
+    def test_merged_sources_count_every_failure(self, monkeypatch) -> None:
+        def ten_failures(n, source):
+            chk = _Checker()
+            for k in range(10):
+                chk.check(False, f"failure {k}")
+            return chk.report(n)
+
+        monkeypatch.setattr(checks, "verify_transfer_memberships", ten_failures)
+        rep = run_check("memberships", 3, 1, 1)
+        assert not rep.ok and rep.failed == 20 and rep.cases == 20
+        assert rep.failures == [f"path: failure {k}" for k in range(8)]
+
+    def test_failing_ag_costar_trial_fails_the_cell(self, capsys, monkeypatch) -> None:
+        broken = _Checker()
+        for k in range(10):
+            broken.check(False, f"bracket {k}")
+        monkeypatch.setattr(feff, "_ag_bracket_identity", lambda n: broken.report(n))
+        rep = run_check("ag-costar", 3, 1, 1)
+        assert not rep.ok and rep.failed == 10
+        assert rep.failures == [f"trial 0: bracket {k}" for k in range(8)]
+        assert cli.main(["verify", "--check", "ag-costar", "--n-min", "3",
+                         "--n-max", "3", "--trials", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "counterexample: trial 0: bracket 0 (10 failures)" in out
+
+    def test_failing_ag_harmonic_type_fails_the_sweep(self, monkeypatch) -> None:
+        typed = {"ok": False, "harmonic_dim": 0, "tau_dim": 0, "rho_dim": 0,
+                 "failures": [f"type {k}" for k in range(10)]}
+        monkeypatch.setattr(penrose, "check_harmonic_torsion_type", lambda n: typed)
+        rep = verify_harmonic_types(3, "ag")
+        assert not rep.ok and rep.failed == 10
+        assert rep.failures == [f"type {k}" for k in range(8)]
+
 
 class TestVerifyCommand:
     def run_json(self, capsys, *argv: str):
@@ -335,7 +369,7 @@ class TestVerifyCommand:
     def test_failing_cell_sets_exit_code_and_counterexample(
             self, capsys, monkeypatch) -> None:
         stub = Report(name="jacobi", n=2, ok=False, cases=3,
-                      failures=["stub mismatch"], details={})
+                      failures=["stub mismatch"], details={}, failed=1)
         monkeypatch.setattr(cli, "run_check", lambda *a: stub)
         rc, out = self.run_json(capsys, "--check", "jacobi",
                                 "--n-min", "2", "--n-max", "2")
