@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 from .checks import CHECK_NAMES, run_check
 from .cochain_io import CochainFormatError, load_cochain, save_cochain
@@ -125,7 +126,10 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     return _save(transfer(c, build_maps(n, args.source)), args.output)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="kostantcheck",
         description="Exact verification harness for the two curvature-"

@@ -17,8 +17,14 @@ Every matrix is a dense m×m array of rationals written as strings "p" or
 carries one strictly increasing index tuple over the g/p quotient basis,
 and index tuples omitted from the list are zero.  Matrices must be
 traceless (values live in sl(m)); m must equal the sum of the grading
-blocks; integer fields take JSON numbers, never the booleans true/false.  Malformed documents raise :class:`CochainFormatError` whose
-message is anchored to the offending location ("values[3].matrix: ...").
+blocks; integer fields take JSON numbers, never the booleans true/false.
+Malformed documents raise :class:`CochainFormatError` whose message is
+anchored to the offending location ("values[3].matrix: ...").
+
+Loading checks and parses each distinct rational string once per document
+and reuses the value for its repeats.  The errors are unchanged: a string
+that fails is never kept, so its first location is the one named, and JSON
+numbers skip the reuse and are checked one by one.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import json
 import re
 from fractions import Fraction
 
-from .gla import graded_sl, smat_from_dense, smat_to_dense, smat_trace
+from .gla import SparseMat, graded_sl, smat_to_dense, smat_trace
 from .kostant import Cochain
 
 _RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z", re.ASCII)
@@ -111,6 +117,9 @@ def doc_to_cochain(doc: object) -> Cochain:
     alg = graded_sl(tuple(blocks))
     out = Cochain(alg, degree)
     seen: set[tuple[int, ...]] = set()
+    # Parsed rational strings, keyed by the string: a key by value would let
+    # JSON true in, since True == 1 and both hash alike.
+    parsed: dict[str, Fraction] = {}
     for k, entry in enumerate(values):
         where = f"values[{k}]"
         indices = _require(entry, "indices", where)
@@ -130,9 +139,16 @@ def doc_to_cochain(doc: object) -> Cochain:
         if (not isinstance(matrix, list) or len(matrix) != m
                 or any(not isinstance(row, list) or len(row) != m for row in matrix)):
             raise CochainFormatError(f"{where}.matrix: expected an {m}×{m} array")
-        dense = [[parse_rational(matrix[r][c], f"{where}.matrix[{r}][{c}]")
-                  for c in range(m)] for r in range(m)]
-        mat = smat_from_dense(dense)
+        mat: SparseMat = {}
+        for r, row in enumerate(matrix):
+            for c, raw in enumerate(row):
+                x = parsed.get(raw) if type(raw) is str else None
+                if x is None:
+                    x = parse_rational(raw, f"{where}.matrix[{r}][{c}]")
+                    if type(raw) is str:
+                        parsed[raw] = x
+                if x:
+                    mat[r, c] = x
         if smat_trace(mat):
             raise CochainFormatError(f"{where}.matrix: matrix is not traceless")
         out.add_term(T, mat)

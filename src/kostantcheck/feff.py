@@ -122,10 +122,18 @@ def _eval2(c: Cochain, c1: Sequence[Fraction], c2: Sequence[Fraction]) -> Sparse
 
 
 def _wedge_table(c1: Sequence[Fraction], c2: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:
-    """The nonzero coefficients c1[s]·c2[t] − c1[t]·c2[s] of :func:`_eval2`, s < t."""
-    n = len(c1)
-    return {(s, t): cf for s in range(n) for t in range(s + 1, n)
-            if (cf := c1[s] * c2[t] - c1[t] * c2[s])}
+    """The nonzero coefficients c1[s]·c2[t] − c1[t]·c2[s] of :func:`_eval2`, s < t.
+
+    Only pairs of the two supports contribute: c1[i]·c2[j] lands on (i, j)
+    when i < j and on (j, i) with the opposite sign when i > j.
+    """
+    support2 = [(j, v) for j, v in enumerate(c2) if v]
+    out: dict[tuple[int, int], Fraction] = {}
+    for i, u in enumerate(c1):
+        if u:
+            smat_add_into(out, {(min(i, j), max(i, j)): u * v if i < j else -(u * v)
+                                for j, v in support2 if j != i})
+    return out
 
 
 def _eval2_table(c: Cochain, table: dict[tuple[int, int], Fraction]) -> SparseMat:
@@ -213,6 +221,10 @@ class EmbeddingMaps:
             if any(g.class_mod_p(g.from_coords(k))):
                 raise MapConstructionError("pi is not well defined on classes")
         self.pi_cols = pi_cols
+        # Λ²π: the nonempty wedge tables of the target pairs.  Each π column
+        # has at most one nonzero entry, so a table holds at most one pair.
+        self.wedge_tables = [(T, table) for T in chain_tuples(gt, 2)
+                             if (table := _wedge_table(pi_cols[T[0]], pi_cols[T[1]]))]
 
         if Subspace(g.dim_neg, pi_cols).dim != g.dim_neg:
             raise MapConstructionError("pi is not surjective")
@@ -521,12 +533,18 @@ def _constrained_module(module: ChainModule, name: str,
 
 
 def transfer(kappa: Cochain, maps: EmbeddingMaps) -> Cochain:
-    """κ̃(X̃, Ỹ) = i′(κ(π X̃, π Ỹ)) as a degree-2 cochain over the target."""
+    """κ̃(X̃, Ỹ) = i′(κ(π X̃, π Ỹ)) as a degree-2 cochain over the target.
+
+    κ∘Λ²π is read through the maps' Λ²π tables (``maps.wedge_tables``, one
+    :func:`_wedge_table` per target pair with a nonzero image) by
+    :func:`_eval2_table`; :func:`_eval2` on the π columns is the dense
+    reference it must agree with.
+    """
     if kappa.alg.blocks != maps.g.blocks or kappa.deg != 2:
         raise ValueError("cochain does not match the maps' source grading")
     out = Cochain(maps.gt, 2)
-    for T in chain_tuples(maps.gt, 2):
-        val = _eval2(kappa, maps.pi_cols[T[0]], maps.pi_cols[T[1]])
+    for T, table in maps.wedge_tables:
+        val = _eval2_table(kappa, table)
         if val:
             out.add_term(T, maps.i_prime(val))
     return out

@@ -94,9 +94,11 @@ class EFTensor:
     def add(self, other: "EFTensor", coeff=1) -> "EFTensor":
         if other.sig != self.sig or other.n != self.n:
             raise ValueError("tensor signature mismatch")
-        out = EFTensor(self.sig, self.n, self.data)
-        for idx, v in other.data.items():
-            out.add_entry(idx, coeff * v)
+        # Both operands already hold valid nonzero entries: copy and
+        # accumulate without re-checking every index slot.
+        out = EFTensor(self.sig, self.n)
+        out.data = dict(self.data)
+        smat_add_into(out.data, other.data, coeff)
         return out
 
     def sub(self, other: "EFTensor") -> "EFTensor":

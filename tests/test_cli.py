@@ -200,6 +200,61 @@ class TestCochainDocuments:
         assert where.format(path=path) in str(err.value)
 
 
+def single_value_doc(matrix: list[list[object]], values: int = 1) -> dict:
+    """A (1, 1, 2) degree-2 document with the same matrix at the first
+    ``values`` index pairs; the caller edits entries per value."""
+    pairs = [[0, 1], [0, 2], [1, 3]][:values]
+    return {"algebra": {"type": "sl", "m": 4}, "grading": {"blocks": [1, 1, 2]},
+            "degree": 2,
+            "values": [{"indices": T, "matrix": [list(row) for row in matrix]}
+                       for T in pairs]}
+
+
+class TestParseOncePerDocument:
+    """Each distinct rational string is parsed once per document; these pin
+    that errors still name their own first location, and JSON numbers are
+    still checked one by one."""
+
+    MATRIX = [["1", "0", "0", "0"], ["0", "-1", "1/2", "0"],
+              ["0", "0", "0", "0"], ["0", "0", "0", "0"]]
+
+    @pytest.mark.parametrize("one", ["1", 1])
+    def test_json_true_after_a_one_is_rejected(self, tmp_path, capsys, one) -> None:
+        doc = single_value_doc(self.MATRIX)
+        doc["values"][0]["matrix"][0][0] = one
+        doc["values"][0]["matrix"][2][3] = True
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(doc), encoding="utf-8")
+        rc = cli.main(["costar", "--input", str(src), "--output", str(tmp_path / "out.json")])
+        assert rc == 2
+        assert "values[0].matrix[2][3]: expected a rational" in capsys.readouterr().err
+
+    def test_bad_string_after_a_good_one_names_its_own_location(self) -> None:
+        doc = single_value_doc(self.MATRIX, values=2)
+        doc["values"][1]["matrix"][3][2] = "1/2.0"
+        with pytest.raises(CochainFormatError, match=r"^values\[1\]\.matrix\[3\]\[2\]: "):
+            doc_to_cochain(doc)
+
+    def test_repeated_overlong_string_errors_at_its_first_location(self) -> None:
+        doc = single_value_doc(self.MATRIX, values=2)
+        long = "1" + "0" * 4300
+        doc["values"][0]["matrix"][2][1] = long
+        doc["values"][1]["matrix"][0][1] = long
+        with pytest.raises(CochainFormatError,
+                           match=r"^values\[0\]\.matrix\[2\]\[1\]: rational longer"):
+            doc_to_cochain(doc)
+
+    def test_string_and_json_integer_load_alike(self) -> None:
+        doc = single_value_doc(self.MATRIX, values=2)
+        doc["values"][0]["matrix"][0][3] = 1
+        doc["values"][1]["matrix"][0][3] = "1"
+        doc["values"][1]["matrix"][1][1] = -1
+        c = doc_to_cochain(doc)
+        expected = {(0, 0): F(1), (1, 1): F(-1), (1, 2): F(1, 2), (0, 3): F(1)}
+        assert c.data == {(0, 1): expected, (0, 2): expected}
+        assert all(type(v) is Fraction for mat in c.data.values() for v in mat.values())
+
+
 class TestCheckRegistry:
     def test_registry_names_and_windows(self) -> None:
         assert len(CHECK_NAMES) == 13
@@ -454,6 +509,28 @@ class TestTransferCommand:
                        "--output", str(tmp_path / "out.json")])
         assert rc == 2
         assert "degree-2" in capsys.readouterr().err
+
+
+class TestCachedParser:
+    def test_one_parser_per_process(self) -> None:
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_defaults_survive_an_earlier_parse(self) -> None:
+        parser = cli.build_parser()
+        args = parser.parse_args(["verify", "--check", "jacobi", "--n-max", "2"])
+        assert (args.check, args.n_max) == ("jacobi", 2)
+        args = parser.parse_args(["verify"])
+        assert (args.check, args.n_min, args.n_max) == ("all", 2, 3)
+
+    def test_required_source_after_a_call_that_had_one(self, tmp_path, capsys) -> None:
+        src, dst = str(tmp_path / "in.json"), str(tmp_path / "out.json")
+        save_cochain(sample_cochain(blocks=(1, 1, 2), deg=2, seed=9), src)
+        assert cli.main(["transfer", "--input", src, "--source", "path",
+                         "--output", dst]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["transfer", "--input", src, "--output", dst])
+        assert exc.value.code == 2
+        assert "--source" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["costar", "transfer"])

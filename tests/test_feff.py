@@ -27,6 +27,7 @@ from fractions import Fraction
 import pytest
 
 from kostantcheck import feff
+from kostantcheck.cochain_io import cochain_to_doc
 from kostantcheck.feff import (
     INFEASIBLE,
     SOURCES,
@@ -58,7 +59,7 @@ from kostantcheck.feff import (
 )
 from kostantcheck.gla import elementary, graded_sl, smat_bracket, smat_trace_pair
 from kostantcheck.kostant import (ChainModule, Cochain, block_structure, blocked_coords,
-                                  cochain_from_block, costar, hodge, partial)
+                                  chain_tuples, cochain_from_block, costar, hodge, partial)
 from kostantcheck.ratlin import Subspace, kernel_basis, zero_vector
 
 F = Fraction
@@ -255,6 +256,73 @@ class TestConstrainedModule:
                 assert got.spaces[w].pivots == space.pivots
             if expected_dim is not None:
                 assert got.dim == expected_dim
+
+
+def dense_transfer(kappa: Cochain, maps: EmbeddingMaps) -> Cochain:
+    """The dense reference for transfer: κ evaluated on every pair of π
+    columns by _eval2, then mapped by i′."""
+    out = Cochain(maps.gt, 2)
+    for T in chain_tuples(maps.gt, 2):
+        val = _eval2(kappa, maps.pi_cols[T[0]], maps.pi_cols[T[1]])
+        if val:
+            out.add_term(T, maps.i_prime(val))
+    return out
+
+
+def random_kappa(g, rng: random.Random, dense: bool) -> Cochain:
+    """A seeded degree-2 cochain: every index pair when dense, else 1–3 pairs,
+    each valued in a random combination of basis matrices."""
+    pairs = chain_tuples(g, 2)
+    chosen = pairs if dense else rng.sample(pairs, rng.randint(1, 3))
+    kappa = Cochain(g, 2)
+    for T in chosen:
+        for i in rng.sample(range(g.dim), 3):
+            kappa.add_term(T, g.basis_mat(i), F(rng.randint(-9, 9), rng.randint(1, 3)))
+    return kappa
+
+
+class TestTransfer:
+    @pytest.mark.parametrize("n,source", [(2, "path"), (3, "path"), (4, "path"),
+                                          (3, "ag"), (4, "ag")])
+    def test_matches_the_dense_reference(self, n, source) -> None:
+        maps = build_maps(n, source)
+        rng = random.Random(f"{n}:{source}")
+        kappas = [random_kappa(maps.g, rng, dense) for dense in (False, True) * 3]
+        cancelled = kappas[-1].scale(1)
+        cancelled.add_into(kappas[-1], -1)
+        for kappa in kappas + [cancelled]:
+            got = transfer(kappa, maps)
+            assert cochain_to_doc(got) == cochain_to_doc(dense_transfer(kappa, maps))
+            assert bool(got.data) == bool(kappa.data)
+
+    def test_wedge_tables_are_the_nonempty_target_pairs(self) -> None:
+        for n, source in [(3, "path"), (4, "ag")]:
+            maps = build_maps(n, source)
+            tables = dict(maps.wedge_tables)
+            for T in chain_tuples(maps.gt, 2):
+                table = _wedge_table(maps.pi_cols[T[0]], maps.pi_cols[T[1]])
+                assert tables.get(T, {}) == table
+                assert len(table) <= 1
+
+    def test_wedge_table_matches_the_dense_formula(self) -> None:
+        """Seeded vectors over few values, so supports overlap and the two
+        products cancel; equal, proportional and all-zero vectors included."""
+        rng = random.Random(23)
+        size = 7
+        vectors = [zero_vector(size)]
+        for _ in range(30):
+            support = rng.sample(range(size), rng.randint(1, size))
+            vec = zero_vector(size)
+            for s in support:
+                vec[s] = F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+            vectors.append(vec)
+        vectors.append([2 * v for v in vectors[1]])
+        for c1 in vectors:
+            for c2 in vectors:
+                dense = {(s, t): c1[s] * c2[t] - c1[t] * c2[s]
+                         for s in range(size) for t in range(s + 1, size)}
+                assert _wedge_table(c1, c2) == {st: cf for st, cf in dense.items() if cf}
+        assert _wedge_table(vectors[1], vectors[-1]) == {}
 
 
 class TestExactSubspaceSites:

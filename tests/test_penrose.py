@@ -92,6 +92,39 @@ class TestEFTensor:
         t.add_entry((2,), F(-1, 3))
         assert t.is_zero()
 
+    @pytest.mark.parametrize("coeff", [1, -1, 3, F(2, 3), F(-1, 2), 0])
+    def test_add_matches_entrywise_reference(self, coeff) -> None:
+        """add/sub copy one operand and accumulate the other; the reference
+        adds every entry through add_entry.  Entries of the two operands
+        cancel in part, and coeff = −1 on equal tensors cancels all."""
+        rng = random.Random(17)
+        sig, n = ("E", "F*", "F"), 3
+        for _ in range(4):
+            s, o = random_tensor(sig, n, rng), random_tensor(sig, n, rng)
+            for idx in list(o.data)[::3]:
+                o.data[idx] = -s.get(idx) or o.data[idx]
+            for x, y in ((s, o), (s, s)):
+                expected = EFTensor(sig, n)
+                for idx, v in x.data.items():
+                    expected.add_entry(idx, v)
+                for idx, v in y.data.items():
+                    expected.add_entry(idx, coeff * v)
+                got = x.add(y, coeff)
+                assert got.data == expected.data
+                assert all(type(v) is Fraction and v for v in got.data.values())
+                assert got.sub(y).data == x.add(y, coeff - 1).data
+            before = dict(s.data)
+            s.add(o, coeff)
+            assert s.data == before
+        assert s.add(s, -1).is_zero() and s.sub(s).is_zero()
+
+    def test_constructor_still_checks_every_index(self) -> None:
+        with pytest.raises(ValueError):
+            EFTensor(("E", "F"), 3, {(2, 0): 1})
+        with pytest.raises(ValueError):
+            EFTensor(("E", "F"), 3, {(0, 0, 0): 1})
+        assert EFTensor(("E", "F"), 3, {(1, 2): 4, (0, 0): 0}).data == {(1, 2): F(4)}
+
 
 class TestBlockExtraction:
     def test_zero_gives_zero_blocks(self) -> None:
