@@ -32,7 +32,7 @@ from .gla import (grading_axiom_holds, graded_sl, jacobi_holds,
                   negative_part_generated_by_deg_minus_one, smat_add_into)
 from .kostant import (ChainModule, Cochain, basis_cochain, chain_tuples,
                       costar, costar_two_form, homogeneity, homogeneity_split,
-                      hodge, partial)
+                      hodge, lift_classes, partial)
 from .penrose import (TRACE_SIG, W_SIG, WP_SIG, EFTensor, extract_blocks,
                       ric_from_rho, rho_cochain, rho_from_ric, sym_split,
                       tr_W, tr_Wp, weyl_from_curvature)
@@ -153,13 +153,14 @@ def check_codiff_lift(n: int, rng: random.Random, trials: int) -> Report:
         for extra in extras:
             for mat in p_mats:
                 smat_add_into(extra, mat, rng.randint(-9, 9))
+        plain, modified = lift_classes(alg), lift_classes(alg, extras)
         for T in chain_tuples(alg, 2):
             for v in range(alg.dim):
                 c = basis_cochain(alg, 2, T, v)
                 wedge = costar(c)
-                chk.check(costar_two_form(c) == wedge,
+                chk.check(costar_two_form(c, plain) == wedge,
                           f"{tag}: evaluation formula differs from ∂* at {T}, {v}")
-                chk.check(costar_two_form(c, extras) == wedge,
+                chk.check(costar_two_form(c, modified) == wedge,
                           f"{tag}: ∂* depends on the lift at {T}, {v}")
                 h = homogeneity(c)
                 for img in (partial(c), wedge):

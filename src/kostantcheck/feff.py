@@ -37,9 +37,10 @@ from typing import Callable, Hashable, Sequence
 from . import penrose
 from .gla import (GradedSL, SparseMat, elementary, graded_sl, smat_add_into,
                   smat_bracket, smat_sub, smat_trace)
-from .kostant import (ChainModule, Cochain, block_structure, blocked_coords,
-                      chain_tuples, cochain_from_block, costar, hodge,
-                      insertion, partial)
+from .kostant import (ChainModule, Cochain, apply_insertion, block_structure,
+                      blocked_coords, chain_tuples, cochain_from_block, costar,
+                      hodge, index_positions, insertion_partners,
+                      insertion_table, partial)
 from .ratlin import Subspace, frac, kernel_basis, null_space, solve, zero_vector
 
 #: Sentinel returned by :func:`normalize_step` when the linear condition
@@ -717,6 +718,24 @@ def verify_beta_and_second_sum(n: int, rng: object = None, trials: int = 0) -> R
     return chk.report(n)
 
 
+def _insertion_sweep(chk: _Checker, basis: list[Cochain],
+                     holds: Callable[[Cochain], bool], message: str) -> None:
+    """Check ``holds(ι_φψ)`` on every pair (φ, ψ) of ``basis``, one case each.
+
+    φ's class table is built once per φ.  A ψ outside φ's insertion partners
+    has ι_φψ = 0 exactly, and 0 satisfies both the 𝔽-membership and the
+    vanishing test, so that pair counts as a case decided without applying
+    the table.
+    """
+    positions = index_positions(basis)
+    for r, phi in enumerate(basis):
+        table = insertion_table(phi)
+        partners = insertion_partners(table, positions)
+        chk.cases += len(basis) - len(partners)
+        for s in partners:
+            chk.check(holds(apply_insertion(table, basis[s])), message.format(r, s))
+
+
 def verify_lemma_path(n: int, rng: object = None, trials: int = 0) -> Report:
     """Stability of 𝔽 under insertions, vanishing of insertions on 𝔼,
     harmonic containment in 𝔽, and the semisimple-value refinement.
@@ -734,14 +753,10 @@ def verify_lemma_path(n: int, rng: object = None, trials: int = 0) -> Report:
     f_mod, e_mod = module_F_path(n), module_E_path(n)
     f_basis = f_mod.basis_cochains()
     e_basis = e_mod.basis_cochains()
-    for r, phi in enumerate(f_basis):
-        for s, psi in enumerate(f_basis):
-            chk.check(f_mod.contains(costar(insertion(phi, psi))),
-                      f"insertion left F at pair ({r},{s})")
-    for r, phi in enumerate(e_basis):
-        for s, psi in enumerate(e_basis):
-            chk.check(insertion(phi, psi).is_zero(),
-                      f"insertion nonzero on E pair ({r},{s})")
+    _insertion_sweep(chk, f_basis, lambda ins: f_mod.contains(costar(ins)),
+                     "insertion left F at pair ({},{})")
+    _insertion_sweep(chk, e_basis, Cochain.is_zero,
+                     "insertion nonzero on E pair ({},{})")
     hd = hodge((1, 1, n), 2)
     harm_inv = hd.ker_box.intersect(module_no_vv_path(n), "harmonic-involutive")
     chk.check(harm_inv.is_contained_in(f_mod),

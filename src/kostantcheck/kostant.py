@@ -218,35 +218,93 @@ def _insertion_sign(rest: tuple[int, ...], s: int) -> int:
     return -1 if crossings % 2 else 1
 
 
-def costar_two_form(c: Cochain, lift_extras: Sequence[SparseMat] | None = None) -> Cochain:
+@dataclass(frozen=True)
+class LiftClasses:
+    """The second-sum table of the degree-2 evaluation form for one choice
+    of lifts: ``rows[x]`` lists ``(i, ((a, −c/2), …))`` for each i whose
+    bracket [Z_i, X̃^x] has the nonzero class Σ_a c·X^a mod p.  Built by
+    :func:`lift_classes`; valid only for the grading ``blocks``."""
+
+    blocks: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...], ...]
+
+
+def lift_classes(alg: GradedSL,
+                 lift_extras: Sequence[SparseMat] | None = None) -> LiftClasses:
+    """Classes of [Z_i, X̃^x] mod p for every pair of quotient indices, where
+    X̃^x is the chosen lift ``x_mat(x)`` plus ``lift_extras[x]`` if given.
+
+    ``lift_extras`` must hold exactly one element of p per quotient basis
+    vector; anything else is a ``ValueError``.  The table depends only on the
+    grading and the lifts, so a sweep builds it once and evaluates every
+    cochain with it.
+    """
+    if lift_extras is not None:
+        if len(lift_extras) != alg.dim_neg:
+            raise ValueError(f"lift_extras needs one element of p per quotient "
+                             f"basis vector: {alg.dim_neg}, got {len(lift_extras)}")
+        if any(alg.degree_of_position(a, b) < 0 for extra in lift_extras for (a, b) in extra):
+            raise ValueError("lift modification must lie in p")
+    z_mats = [alg.z_mat(i) for i in range(alg.dim_neg)]
+    rows = []
+    for x in range(alg.dim_neg):
+        lift = dict(alg.x_mat(x))
+        if lift_extras is not None:
+            smat_add_into(lift, lift_extras[x])
+        row = []
+        for i, z in enumerate(z_mats):
+            cls = tuple((a, -Fraction(cf) / 2)
+                        for a, cf in enumerate(alg.class_mod_p(smat_bracket(z, lift))) if cf)
+            if cls:
+                row.append((i, cls))
+        rows.append(tuple(row))
+    return LiftClasses(alg.blocks, tuple(rows))
+
+
+def costar_two_form(c: Cochain,
+                    lift_extras: Sequence[SparseMat] | LiftClasses | None = None) -> Cochain:
     """Degree-2 evaluation form of ∂*, usable as an independent oracle:
 
         (∂*φ)(X) = Σ_i [Z_i, φ(X, X^i)] − ½ Σ_i φ([Z_i, X̃] mod p, X^i).
 
     ``lift_extras`` optionally adds an element of p to each lift X̃^x to
-    demonstrate independence of the choice of lift.
+    demonstrate independence of the choice of lift.  It may also be the
+    :class:`LiftClasses` table of a choice of lifts, built once by
+    :func:`lift_classes` and shared by many cochains; otherwise the table is
+    built here, so both forms read the same table.  Nothing here reads the
+    tables of :func:`costar`.
     """
     if c.deg != 2:
         raise ValueError("evaluation form is for degree 2")
     alg = c.alg
+    table = (lift_extras if isinstance(lift_extras, LiftClasses)
+             else lift_classes(alg, lift_extras))
+    if table.blocks != alg.blocks:
+        raise ValueError("lift table is for another grading")
+    # Every term whose φ-value is not a stored pair is 0.
+    values = _values_by_argument(c)
     out = Cochain(alg, 1)
-    # Both sums vanish unless X^i is an argument of some stored value.
-    support = sorted({i for T in c.data for i in T})
-    for x in range(alg.dim_neg):
-        lift = dict(alg.x_mat(x))
-        if lift_extras is not None:
-            extra = lift_extras[x]
-            if any(alg.degree_of_position(a, b) < 0 for (a, b) in extra):
-                raise ValueError("lift modification must lie in p")
-            smat_add_into(lift, extra)
+    for x, row in enumerate(table.rows):
         acc: SparseMat = {}
-        for i in support:
-            smat_add_into(acc, smat_bracket(alg.z_mat(i), c.value((x, i))))
-            cls = alg.class_mod_p(smat_bracket(alg.z_mat(i), lift))
-            for a, cf in enumerate(cls):
-                if cf:
-                    smat_add_into(acc, c.value((a, i)), -Fraction(cf) / 2)
+        for i, (u, sign) in values.get(x, {}).items():
+            smat_add_into(acc, smat_bracket(alg.z_mat(i), u), sign)
+        for i, cls in row:
+            if i in values:
+                for a, half in cls:
+                    hit = values.get(a, {}).get(i)
+                    if hit:
+                        smat_add_into(acc, hit[0], hit[1] * half)
         out.add_term((x,), acc)
+    return out
+
+
+def _values_by_argument(c: Cochain) -> dict[int, dict[int, tuple[SparseMat, int]]]:
+    """s ↦ {w: (u, sign)} with c(X^s, X^w) = sign·u, over the stored pairs
+    {s, w} of a degree-2 cochain; every other value of c is 0."""
+    out: dict[int, dict[int, tuple[SparseMat, int]]] = {}
+    for (s, t), u in c.data.items():
+        out.setdefault(s, {})[t] = (u, 1)
+        out.setdefault(t, {})[s] = (u, -1)
     return out
 
 
@@ -255,26 +313,83 @@ def laplacian(c: Cochain) -> Cochain:
     return partial(costar(c)).add(costar(partial(c)))
 
 
-def insertion(phi: Cochain, psi: Cochain) -> Cochain:
-    """Cyclic insertion (ι_φψ)(X,Y,Z) = ψ(φ(X,Y) mod p, Z) + cyclic."""
-    if phi.deg != 2 or psi.deg != 2:
+@dataclass(frozen=True)
+class InsertionTable:
+    """φ's side of the cyclic insertion ι_φψ: ``rows`` holds ``(a, b, class)``
+    for each stored pair a < b of φ whose value has a nonzero class
+    Σ_s c·X^s mod p, the class as ``((s, c), …)``; ``support`` is the set of
+    every such s.  Built by :func:`insertion_table`; valid only for the
+    grading ``blocks``."""
+
+    blocks: tuple[int, ...]
+    rows: tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
+    support: frozenset[int]
+
+
+def insertion_table(phi: Cochain) -> InsertionTable:
+    """First step of ι_φψ: the classes of φ's stored values, which depend on
+    φ alone, so a sweep over many ψ builds them once per φ."""
+    if phi.deg != 2:
         raise ValueError("insertion is defined for two degree-2 cochains")
-    alg = phi.alg
-    out = Cochain(alg, 3)
-    # Every cyclic term ψ(φ(X^a, X^b) mod p, X^w) comes from a stored pair
-    # a < b of φ with a nonzero class; add_term's sort sign places it on
-    # the increasing triple, as the cyclic sum over that triple requires.
+    rows = []
     for (a, b), u in phi.data.items():
-        cls = [(s, cf) for s, cf in enumerate(alg.class_mod_p(u)) if cf]
-        if not cls:
-            continue
-        for w in range(alg.dim_neg):
-            if w != a and w != b:
-                acc: SparseMat = {}
-                for s, cf in cls:
-                    smat_add_into(acc, psi.value((s, w)), cf)
-                out.add_term((a, b, w), acc)
+        cls = tuple((s, cf) for s, cf in enumerate(phi.alg.class_mod_p(u)) if cf)
+        if cls:
+            rows.append((a, b, cls))
+    return InsertionTable(phi.alg.blocks, tuple(rows),
+                          frozenset(s for _, _, cls in rows for s, _ in cls))
+
+
+def apply_insertion(table: InsertionTable, psi: Cochain) -> Cochain:
+    """Second step of ι_φψ: the table of φ applied to ψ.
+
+    ψ(X^s, X^w) is nonzero only when {s, w} is a stored pair of ψ, so each
+    class index s of φ meets only the w paired with s in ψ.  ψ must live on
+    φ's grading (``ValueError`` otherwise); if no stored tuple of ψ holds an
+    index of ``table.support``, the result is exactly zero.
+    """
+    if psi.deg != 2:
+        raise ValueError("insertion is defined for two degree-2 cochains")
+    if psi.alg.blocks != table.blocks:
+        raise ValueError("cochain context mismatch")
+    values = _values_by_argument(psi)
+    out = Cochain(psi.alg, 3)
+    # Every cyclic term ψ(φ(X^a, X^b) mod p, X^w) comes from a row (a, b) of
+    # the table; add_term's sort sign places it on the increasing triple, as
+    # the cyclic sum over that triple requires.
+    for a, b, cls in table.rows:
+        accs: dict[int, SparseMat] = {}
+        for s, cf in cls:
+            for w, (u, sign) in values.get(s, {}).items():
+                if w != a and w != b:
+                    smat_add_into(accs.setdefault(w, {}), u, sign * cf)
+        for w in sorted(accs):
+            out.add_term((a, b, w), accs[w])
     return out
+
+
+def insertion(phi: Cochain, psi: Cochain) -> Cochain:
+    """Cyclic insertion (ι_φψ)(X,Y,Z) = ψ(φ(X,Y) mod p, Z) + cyclic:
+    :func:`apply_insertion` of φ's :func:`insertion_table` to ψ."""
+    return apply_insertion(insertion_table(phi), psi)
+
+
+def index_positions(cochains: Sequence[Cochain]) -> dict[int, list[int]]:
+    """i ↦ the increasing positions r of the cochains with i in a stored tuple."""
+    out: dict[int, list[int]] = {}
+    for r, c in enumerate(cochains):
+        for i in {i for T in c.data for i in T}:
+            out.setdefault(i, []).append(r)
+    return out
+
+
+def insertion_partners(table: InsertionTable, positions: dict[int, list[int]]) -> list[int]:
+    """The increasing positions, in the list indexed by ``positions``, of the
+    cochains ψ for which ι_φψ can be nonzero: those with an index of φ's class
+    support in a stored tuple.  For every other ψ each term
+    ψ(φ(X^a, X^b) mod p, X^w) has its first argument outside ψ's stored
+    indices, so ι_φψ = 0 exactly."""
+    return sorted({r for s in table.support for r in positions.get(s, ())})
 
 
 def homogeneity_split(c: Cochain) -> dict[int, Cochain]:

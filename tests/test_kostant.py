@@ -22,6 +22,7 @@ from kostantcheck.gla import elementary, graded_sl, smat_add_into, smat_bracket
 from kostantcheck.kostant import (
     ChainModule,
     Cochain,
+    apply_insertion,
     basis_cochain,
     block_structure,
     blocked_coords,
@@ -32,8 +33,12 @@ from kostantcheck.kostant import (
     hodge,
     homogeneity,
     homogeneity_split,
+    index_positions,
     insertion,
+    insertion_partners,
+    insertion_table,
     laplacian,
+    lift_classes,
     operator_block,
     partial,
 )
@@ -87,6 +92,17 @@ def random_cochain(alg, deg: int, rng: random.Random, terms: int = 6) -> Cochain
         T = tuple(rng.sample(range(alg.dim_neg), deg))
         c.add_term(T, alg.basis_mat(rng.randrange(alg.dim)), F(rng.randint(-3, 3)))
     return c
+
+
+def parabolic_element(alg, rng: random.Random) -> dict:
+    """A random combination of three basis elements of p."""
+    parabolic_indices = [i for i, lab in enumerate(alg.basis_labels)
+                         if lab[0] == "H" or alg.degree_of_position(lab[1], lab[2]) >= 0]
+    e: dict = {}
+    for _ in range(3):
+        smat_add_into(e, alg.basis_mat(rng.choice(parabolic_indices)),
+                      F(rng.randint(-3, 3)))
+    return e
 
 
 class TestCochainStorage:
@@ -226,19 +242,33 @@ class TestCostar:
     def test_evaluation_form_is_lift_independent(self) -> None:
         rng = random.Random(47)
         alg = graded_sl((1, 1, 2))
-        parabolic_indices = [i for i, lab in enumerate(alg.basis_labels)
-                             if lab[0] == "H"
-                             or alg.degree_of_position(lab[1], lab[2]) >= 0]
         for _ in range(5):
             c = random_cochain(alg, 2, rng)
-            extras = []
-            for _ in range(alg.dim_neg):
-                e: dict = {}
-                for _ in range(3):
-                    smat_add_into(e, alg.basis_mat(rng.choice(parabolic_indices)),
-                                  F(rng.randint(-3, 3)))
-                extras.append(e)
+            extras = [parabolic_element(alg, rng) for _ in range(alg.dim_neg)]
             assert costar_two_form(c, extras) == costar_two_form(c)
+
+    def test_lift_extras_need_one_element_of_p_per_quotient_vector(self) -> None:
+        rng = random.Random(59)
+        alg = graded_sl((1, 1, 2))
+        c = random_cochain(alg, 2, rng)
+        extras = [parabolic_element(alg, rng) for _ in range(alg.dim_neg)]
+        for wrong in (extras[:-1], extras + [{}], []):
+            with pytest.raises(ValueError, match="one element of p"):
+                lift_classes(alg, wrong)
+            with pytest.raises(ValueError, match="one element of p"):
+                costar_two_form(c, wrong)
+        for x in range(alg.dim_neg):
+            outside = list(extras)
+            outside[x] = {**extras[x], alg.neg_positions[0]: F(1)}
+            with pytest.raises(ValueError, match="must lie in p"):
+                lift_classes(alg, outside)
+            with pytest.raises(ValueError, match="must lie in p"):
+                costar_two_form(c, outside)
+
+    def test_lift_table_of_another_grading_is_rejected(self) -> None:
+        c = random_cochain(graded_sl((1, 1, 2)), 2, random.Random(61))
+        with pytest.raises(ValueError, match="another grading"):
+            costar_two_form(c, lift_classes(graded_sl((2, 2))))
 
     def test_second_summand_absent_in_one_graded_case(self) -> None:
         """In a |1|-graded algebra [Z_i, X̃] ∈ g_0 ⊆ p, so the evaluation
@@ -334,18 +364,63 @@ class TestInsertion:
         basis = module_F_path(2).basis_cochains() + module_E_path(2).basis_cochains()
         assert len(basis) ** 2 == 9216
         for phi in basis:
+            table = insertion_table(phi)
             for psi in basis:
-                assert insertion(phi, psi) == dense_insertion(phi, psi)
+                want = dense_insertion(phi, psi)
+                assert insertion(phi, psi) == want
+                assert apply_insertion(table, psi) == want
 
     def test_matches_dense_reference_on_path_module_pairs_n3(self) -> None:
         basis = module_F_path(3).basis_cochains() + module_E_path(3).basis_cochains()
         nonzero = 0
         for phi in basis[::3]:
+            table = insertion_table(phi)
             for psi in basis[::5]:
                 out = insertion(phi, psi)
                 assert out == dense_insertion(phi, psi)
+                assert apply_insertion(table, psi) == out
                 nonzero += not out.is_zero()
         assert nonzero > 0
+
+    def test_skipped_pairs_of_the_path_sweeps_vanish_n2(self) -> None:
+        """Every 𝔽×𝔽 and 𝔼×𝔼 pair outside φ's insertion partners, which the
+        bianchi-path sweep counts without applying the table, has ι_φψ = 0."""
+        for basis in (module_F_path(2).basis_cochains(),
+                      module_E_path(2).basis_cochains()):
+            positions = index_positions(basis)
+            skipped = 0
+            for phi in basis:
+                partners = set(insertion_partners(insertion_table(phi), positions))
+                for s, psi in enumerate(basis):
+                    if s not in partners:
+                        skipped += 1
+                        assert dense_insertion(phi, psi).is_zero()
+            assert skipped > 0
+
+    def test_partners_are_the_cochains_meeting_the_class_support(self) -> None:
+        rng = random.Random(83)
+        alg = graded_sl((1, 1, 3))
+        psis = [random_cochain(alg, 2, rng, terms=rng.randint(0, 3)) for _ in range(12)]
+        positions = index_positions(psis)
+        for _ in range(10):
+            table = insertion_table(random_cochain(alg, 2, rng, terms=rng.randint(0, 4)))
+            want = [s for s, psi in enumerate(psis)
+                    if any(i in table.support for T in psi.data for i in T)]
+            assert insertion_partners(table, positions) == want
+
+    def test_a_grading_mismatch_is_rejected(self) -> None:
+        rng = random.Random(89)
+        phi = random_cochain(graded_sl((1, 1, 2)), 2, rng)
+        psi = random_cochain(graded_sl((2, 3)), 2, rng)
+        assert insertion_table(phi).rows
+        with pytest.raises(ValueError, match="mismatch"):
+            insertion(phi, psi)
+        with pytest.raises(ValueError, match="mismatch"):
+            apply_insertion(insertion_table(phi), psi)
+        with pytest.raises(ValueError, match="degree-2"):
+            insertion_table(Cochain(phi.alg, 3))
+        with pytest.raises(ValueError, match="degree-2"):
+            apply_insertion(insertion_table(phi), Cochain(phi.alg, 1))
 
 
 class TestBlocksAndModules:
