@@ -32,16 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from . import penrose
 from .gla import (GradedSL, SparseMat, elementary, graded_sl, smat_add_into,
                   smat_bracket, smat_sub, smat_trace)
-from .kostant import (ChainModule, Cochain, apply_insertion, block_structure,
-                      blocked_coords, chain_tuples, cochain_from_block, costar,
-                      hodge, index_positions, insertion_partners,
-                      insertion_table, partial)
-from .ratlin import Subspace, frac, kernel_basis, null_space, solve, zero_vector
+from .kostant import (ChainModule, Cochain, apply_insertion, block_product,
+                      block_structure, blocked_coords, chain_tuples,
+                      cochain_from_block, costar, hodge, index_positions,
+                      insertion_partners, insertion_table, operator_block,
+                      partial)
+from .ratlin import Subspace, frac, null_space, solve, zero_vector
 
 #: Sentinel returned by :func:`normalize_step` when the linear condition
 #: has no solution at the requested filtration level.
@@ -100,6 +101,12 @@ def _unit(dim: int, i: int) -> list[Fraction]:
     vec = zero_vector(dim)
     vec[i] = Fraction(1)
     return vec
+
+
+def _entry_rows(mats: Sequence[SparseMat],
+                positions: Sequence[tuple[int, int]]) -> list[list[int | Fraction]]:
+    """One row per matrix position: the entry there of each matrix in turn."""
+    return [[mat.get(pos, 0) for mat in mats] for pos in positions]
 
 
 def _eval1(c: Cochain, cls: Sequence[Fraction]) -> SparseMat:
@@ -218,7 +225,8 @@ class EmbeddingMaps:
             if u is None:
                 raise MapConstructionError("pi is not surjective")
             pi_cols.append(g.class_mod_p(g.from_coords(u)))
-        for k in kernel_basis(neg_rows):
+        # π is well defined on classes iff h, the kernel of neg_rows, lies in p.
+        for k in self.h_space.rows:
             if any(g.class_mod_p(g.from_coords(k))):
                 raise MapConstructionError("pi is not well defined on classes")
         self.pi_cols = pi_cols
@@ -231,13 +239,12 @@ class EmbeddingMaps:
             raise MapConstructionError("pi is not surjective")
         pi_mat = [[pi_cols[j][s] for j in range(gt.dim_neg)]
                   for s in range(g.dim_neg)]
-        self.pi_kernel = kernel_basis(pi_mat)
+        self.pi_kernel = null_space(pi_mat, gt.dim_neg)
         expected_kernel = [(2, 1)] if source == "path" else [(2, 0), (2, 1)]
-        if len(self.pi_kernel) != gt.dim_neg - g.dim_neg:
+        if self.pi_kernel.dim != gt.dim_neg - g.dim_neg:
             raise MapConstructionError("pi kernel has unexpected dimension")
-        if (Subspace(gt.dim_neg, self.pi_kernel)
-                != Subspace(gt.dim_neg, [_unit(gt.dim_neg, gt.index_of_neg[p])
-                                         for p in expected_kernel])):
+        if self.pi_kernel != Subspace(gt.dim_neg, [_unit(gt.dim_neg, gt.index_of_neg[p])
+                                                   for p in expected_kernel]):
             raise MapConstructionError("pi kernel has unexpected span")
 
         # π* from duality: the coefficient of Z̃_j in π*(Z_s) is ⟨Z_s, π(X̃^j)⟩.
@@ -313,6 +320,33 @@ class EmbeddingMaps:
                 raise ValueError("pi_star argument outside the positive part")
             smat_add_into(out, self.pi_star_pos[pos], frac(v))
         return out
+
+    # -- the bracket relation ------------------------------------------------
+
+    def bracket_correction(self, z: SparseMat, w: SparseMat) -> SparseMat:
+        """C(Z, W) = Σ_{b≥2} (W·Z)_{1b} Ẽ_{2,b+1}, with which
+        [π*(Z), i′(W)] = α([Z, W]) − C(Z, W): row 1 of W·Z, columns b ≥ 2,
+        moved to row 2 of the target by the duplicated second row of i′."""
+        out: SparseMat = {}
+        for (c, b), zv in z.items():
+            wv = w.get((1, c))
+            if wv and b >= 2:
+                smat_add_into(out, {(2, b + 1): frac(wv * zv)})
+        return out
+
+    def bracket_pairs(self, values: Sequence[int]) -> Iterator[
+            tuple[tuple[int, int], int, SparseMat, SparseMat, SparseMat]]:
+        """(position of Z, v, [π*(Z), i′(W)], α([Z, W]), C(Z, W)) for every
+        Z = E_ab over the positive positions of the source and every
+        W = basis_mat(v) with v in ``values``, Z in the outer loop."""
+        g = self.g
+        for (a, b) in g.pos_positions:
+            z = elementary(a, b)
+            pz = self.pi_star(z)
+            for v in values:
+                w = g.basis_mat(v)
+                yield ((a, b), v, smat_bracket(pz, self.i_prime(w)),
+                       self.alpha(smat_bracket(z, w)), self.bracket_correction(z, w))
 
 
 @lru_cache(maxsize=None)
@@ -629,29 +663,14 @@ def verify_path_normality(n: int, rng: object = None, trials: int = 0) -> Report
         elif not defect.is_zero():
             literal_defects += 1
     bracket_defects = 0
-    for (a, b) in g.pos_positions:
-        z = elementary(a, b)
-        pz = maps.pi_star(z)
-        for v in b_indices(g):
-            w = g.basis_mat(v)
-            lhs = smat_bracket(pz, maps.i_prime(w))
-            rhs = dict(maps.alpha(smat_bracket(z, w)))
-            corr: SparseMat = {}
-            w11 = w.get((1, 1), Fraction(0))
-            if w11:
-                for bb in range(2, g.m):
-                    zc = z.get((1, bb), Fraction(0))
-                    if zc:
-                        smat_add_into(corr, {(2, bb + 1): w11 * zc}, -1)
-            with_corr = dict(rhs)
-            smat_add_into(with_corr, corr)
-            chk.check(not smat_sub(lhs, with_corr),
-                      f"corrected bracket identity failed at Z=E{a}{b}, W basis {v}")
-            literal_ok = not smat_sub(lhs, rhs)
-            chk.check(literal_ok == (not corr),
-                      f"bracket correction locus wrong at Z=E{a}{b}, W basis {v}")
-            if corr:
-                bracket_defects += 1
+    for (a, b), v, lhs, rhs, corr in maps.bracket_pairs(b_indices(g)):
+        chk.check(not smat_sub(lhs, smat_sub(rhs, corr)),
+                  f"corrected bracket identity failed at Z=E{a}{b}, W basis {v}")
+        literal_ok = not smat_sub(lhs, rhs)
+        chk.check(literal_ok == (not corr),
+                  f"bracket correction locus wrong at Z=E{a}{b}, W basis {v}")
+        if corr:
+            bracket_defects += 1
     return chk.report(n, {
         "module_dim": module.dim,
         "curvature_module_dim": f_mod.dim,
@@ -667,15 +686,10 @@ def verify_beta_and_second_sum(n: int, rng: object = None, trials: int = 0) -> R
     maps = build_maps(n, "path")
     g = maps.g
     chk = _Checker()
-    for (a, b) in g.pos_positions:
-        z = elementary(a, b)
-        pz = maps.pi_star(z)
-        for v in range(g.dim):
-            w = g.basis_mat(v)
-            lhs = maps.beta(smat_bracket(pz, maps.i_prime(w)))
-            rhs = smat_bracket(z, w)
-            chk.check(not smat_sub(lhs, rhs),
-                      f"beta relation failed at Z=E{a}{b}, W basis {v}")
+    for (a, b), v, lhs, _, _ in maps.bracket_pairs(range(g.dim)):
+        zw = smat_bracket(elementary(a, b), g.basis_mat(v))
+        chk.check(not smat_sub(maps.beta(lhs), zw),
+                  f"beta relation failed at Z=E{a}{b}, W basis {v}")
 
     # basis convention: the degree-2 dual directions are brackets of the
     # degree-1 ones, [Z_E, Z_{V_j}] = Z_{2_j}.
@@ -691,25 +705,32 @@ def verify_beta_and_second_sum(n: int, rng: object = None, trials: int = 0) -> R
     types = _path_neg_types(n)
     v_idx = [i for i, t in enumerate(types) if t == "V"]
 
-    def second_sum(phi: Cochain, cls: Sequence[Fraction]) -> SparseMat:
+    def bracket_classes(cls: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
+        """(class of [Z_i, X̃] mod p, i) for each nonzero class, X̃ the lift of
+        cls; they depend only on X, so they are built once per X."""
         lift = g.lift_from_class(cls)
+        brackets = ((g.class_mod_p(smat_bracket(g.z_mat(i), lift)), i) for i in range(g.dim_neg))
+        return [(bcls, i) for bcls, i in brackets if any(bcls)]
+
+    def second_sum(phi: Cochain, classes: list[tuple[list[Fraction], int]]) -> SparseMat:
         acc: SparseMat = {}
-        for i in range(g.dim_neg):
-            bcls = g.class_mod_p(smat_bracket(g.z_mat(i), lift))
-            if any(bcls):
-                smat_add_into(acc, _eval2(phi, bcls, units[i]), -1)
+        for bcls, i in classes:
+            smat_add_into(acc, _eval2(phi, bcls, units[i]), -1)
         return acc
 
+    deg1_classes = [(i, bracket_classes(units[i])) for i in deg1]
+    ev_classes = [(iv, bracket_classes(g.class_mod_p(smat_bracket(g.x_mat(e_idx),
+                                                                  g.x_mat(iv)))))
+                  for iv in v_idx]
     for T in chain_tuples(g, 2):
         for v in range(g.dim):
             phi = Cochain(g, 2, {T: g.basis_mat(v)})
-            for i in deg1:
-                chk.check(not second_sum(phi, units[i]),
+            for i, classes in deg1_classes:
+                chk.check(not second_sum(phi, classes),
                           f"second sum nonzero on degree -1 direction {i}, "
                           f"phi=({T},{v})")
-            for iv in v_idx:
-                x = smat_bracket(g.x_mat(e_idx), g.x_mat(iv))
-                got = second_sum(phi, g.class_mod_p(x))
+            for iv, classes in ev_classes:
+                got = second_sum(phi, classes)
                 want = _eval2(phi, units[e_idx], units[iv])
                 want = {p: 2 * c for p, c in want.items()}
                 chk.check(not smat_sub(got, want),
@@ -778,39 +799,27 @@ def verify_lemma_path(n: int, rng: object = None, trials: int = 0) -> Report:
 
 @lru_cache(maxsize=None)
 def _ag_bracket_identity(n: int) -> Report:
-    """[π*(Z), i′(Φ)] = α([Z, Φ]) − C(Z, Φ) with the correction supported in
-    row 2 and columns ≥ 3, C(Z, Φ)_{2, 3+k} = Σ_c Φ_{1c} Z_{c, 2+k}."""
+    """[π*(Z), i′(Φ)] = α([Z, Φ]) − C(Z, Φ) on every basis pair, with the
+    shared correction of :meth:`EmbeddingMaps.bracket_correction`; on this
+    source it is C(Z, Φ)_{2, 3+k} = Σ_c Φ_{1c} Z_{c, 2+k}."""
     maps = build_maps(n, "ag")
-    g = maps.g
     chk = _Checker()
-    for (a, b) in g.pos_positions:
-        z = elementary(a, b)
-        pz = maps.pi_star(z)
-        for v in range(g.dim):
-            phi_mat = g.basis_mat(v)
-            lhs = smat_bracket(pz, maps.i_prime(phi_mat))
-            rhs = dict(maps.alpha(smat_bracket(z, phi_mat)))
-            corr = {}
-            for k in range(n):
-                cf = sum((phi_mat.get((1, c), Fraction(0))
-                          * z.get((c, 2 + k), Fraction(0)) for c in range(2)),
-                         Fraction(0))
-                if cf:
-                    corr[(2, 3 + k)] = cf
-            smat_add_into(rhs, corr, -1)
-            chk.check(not smat_sub(lhs, rhs),
-                      f"bracket identity failed at Z=E{a}{b}, basis {v}")
+    for (a, b), v, lhs, rhs, corr in maps.bracket_pairs(range(maps.g.dim)):
+        chk.check(not smat_sub(lhs, smat_sub(rhs, corr)),
+                  f"bracket identity failed at Z=E{a}{b}, basis {v}")
     return chk.report(n)
 
 
 def ag_costar_check(kappa: Cochain, maps: EmbeddingMaps | None = None) -> Report:
     """∂̃*(transfer κ) against the single-block formula
     −φ_J W^A_{A'}{}^I_{C'}{}^J_I ∘ π with φ = (0, 1), for κ ∈ ker ∂*."""
-    n = kappa.alg.blocks[1]
+    blocks = kappa.alg.blocks
+    if (len(blocks) != 2 or blocks[0] != 2 or kappa.deg != 2
+            or (maps is not None and maps.g.blocks != blocks)):
+        raise ValueError("cochain does not match the (2, n) source")
+    n = blocks[1]
     if maps is None:
         maps = build_maps(n, "ag")
-    if kappa.alg.blocks != maps.g.blocks or kappa.deg != 2:
-        raise ValueError("cochain does not match the (2, n) source")
     if not costar(kappa).is_zero():
         raise ValueError("kappa must lie in ker ∂*")
     g, gt = maps.g, maps.gt
@@ -961,39 +970,28 @@ def normalize_step(psi: Cochain, level: int,
     nxt = module_E2(n) if level == 1 else ChainModule("zero", alg, 1, {})
     if not dom.contains(psi):
         raise ValueError("psi outside the required filtration level")
-    structure = block_structure(alg.blocks, 1)
+    here, above = block_structure(alg.blocks, 1), block_structure(alg.blocks, 2)
     psi_blocks = blocked_coords(psi)
     phi = Cochain(alg, 1)
     for w in sorted(set(psi_blocks) | set(dom.spaces)):
-        dim_w = structure.block_dim(w)
+        dim_w = here.block_dim(w)
         rhs = [-v for v in psi_blocks.get(w, zero_vector(dim_w))]
-        cols: list[list[Fraction]] = []
-        col_cochains: list[Cochain] = []
-        space = dom.spaces.get(w)
-        if space is not None:
-            for row in space.rows:
-                c = cochain_from_block(alg, 1, w, row)
-                img = blocked_coords(costar(partial(c)))
-                if any(wv != w for wv in img):
-                    raise AssertionError("∂̃*∂̃ did not preserve the weight")
-                cols.append(img.get(w, zero_vector(dim_w)))
-                col_cochains.append(c)
-        quot = nxt.spaces.get(w)
-        q_rows = list(quot.rows) if quot is not None else []
-        if not cols and not q_rows:
+        rows = dom.spaces[w].rows if w in dom.spaces else []
+        q_rows = nxt.spaces[w].rows if w in nxt.spaces else []
+        if not rows and not q_rows:
             if any(rhs):
                 return INFEASIBLE
             continue
-        mat = [[(cols[k][r] if k < len(cols)
-                 else q_rows[k - len(cols)][r])
-                for k in range(len(cols) + len(q_rows))]
-               for r in range(dim_w)]
-        u = solve(mat, rhs)
+        # ∂̃*∂̃ on this weight block, applied to the level's basis rows.
+        box = block_product(operator_block(above, here, w),
+                            operator_block(here, above, w), dim_w)
+        cols = [[sum(x * y for x, y in zip(box_row, row) if x) for box_row in box]
+                for row in rows]
+        u = solve(list(zip(*cols, *q_rows)), rhs)
         if u is None:
             return INFEASIBLE
-        for coeff, c in zip(u[:len(cols)], col_cochains):
-            if coeff:
-                phi.add_into(c, coeff)
+        vec = [sum(c * x for c, x in zip(u, col) if c) for col in zip(*rows)]
+        phi.add_into(cochain_from_block(alg, 1, w, vec))
     residual = costar(partial(phi)).add(psi)
     if not (residual.is_zero() if nxt.dim == 0 else nxt.contains(residual)):
         raise AssertionError("normalize_step postcondition failed")
@@ -1010,9 +1008,8 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
     # i'^{-1}(p̃) = h, via the displayed entry description of h.
     h_positions = [(1, 0), (1, 1)] + [(a, b) for a in range(2, g.m)
                                       for b in range(2)]
-    h_rows = [[frac(g.basis_mat(i).get(pos, 0)) for i in range(g.dim)]
-              for pos in h_positions]
-    h_direct = null_space(h_rows, g.dim)
+    g_basis = [g.basis_mat(i) for i in range(g.dim)]
+    h_direct = null_space(_entry_rows(g_basis, h_positions), g.dim)
     chk.check(maps.h_space == h_direct, "i'^{-1}(p̃) differs from h")
     parabolic = coordinate_subspace(g, p_indices(g))
     chk.check(parabolic.contains_subspace(maps.h_space),
@@ -1021,9 +1018,7 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
     def preimage(allowed: set[tuple[int, int]]) -> Subspace:
         forbidden = [(r, c) for r in range(gt.m) for c in range(gt.m)
                      if (r, c) not in allowed]
-        rows = [[frac(maps.i_prime(g.basis_mat(i)).get(pos, 0))
-                 for i in range(g.dim)] for pos in forbidden]
-        return null_space(rows, g.dim)
+        return null_space(_entry_rows(maps._images, forbidden), g.dim)
 
     if source == "path":
         for v in a_indices(g):
@@ -1049,20 +1044,14 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
         v_vec = [Fraction(0)] * gt.m
         v_vec[1], v_vec[2] = Fraction(1), Fraction(-1)
 
-        def stab_rows(free_tail: bool) -> list[list[Fraction]]:
-            rows = []
-            for r in range(gt.m):
-                rows.append([frac(gt.basis_mat(i).get((r, 2), 0))
-                             for i in range(gt.dim)])
-            cols = range(3) if free_tail else range(gt.m)
-            for c in cols:
-                rows.append([frac(gt.basis_mat(i).get((1, c), 0))
-                             - frac(gt.basis_mat(i).get((2, c), 0))
-                             for i in range(gt.dim)])
-            return rows
-
-        s1 = null_space(stab_rows(True), gt.dim)
-        s2 = null_space(stab_rows(False), gt.dim)
+        # Ãw = 0 is column 2 of Ã; (vÃ)_c is row 1 minus row 2 of Ã.
+        gt_basis = [gt.basis_mat(i) for i in range(gt.dim)]
+        w_rows = _entry_rows(gt_basis, [(r, 2) for r in range(gt.m)])
+        v_rows = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(
+            _entry_rows(gt_basis, [(1, c) for c in range(gt.m)]),
+            _entry_rows(gt_basis, [(2, c) for c in range(gt.m)]))]
+        s1 = null_space(w_rows + v_rows[:3], gt.dim)
+        s2 = null_space(w_rows + v_rows, gt.dim)
         chk.check(s1 == maps._qmap_domain,
                   "{Ã: Ãw = 0, vÃ ∈ (0,0,0,ℝⁿ)} differs from i'(g) + n1F")
         chk.check(s2 == maps.i_image, "{Ã: Ãw = 0, vÃ = 0} differs from i'(g)")
@@ -1122,15 +1111,10 @@ def verify_torsion_transfer(n: int, rng: object = None, trials: int = 0) -> Repo
     # lies in B ∩ h, and that space meets none of the q_{-1}^V value
     # directions, i.e. it is contained in q — the source torsion vanishes.
     b_idx = b_indices(g)
-    rows = [[frac(maps.i_prime(g.basis_mat(v)).get(pos, 0)) for v in b_idx]
-            for pos in gt.neg_positions]
-    t_vectors = []
-    for kv in kernel_basis(rows):
-        vec = zero_vector(g.dim)
-        for coeff, v in zip(kv, b_idx):
-            vec[v] = coeff
-        t_vectors.append(vec)
-    t_space = Subspace(g.dim, t_vectors)
+    rows = _entry_rows([maps.i_prime(g.basis_mat(v)) for v in b_idx], gt.neg_positions)
+    # The kernel in the coordinates of B, put back in the coordinates of g.
+    t_space = Subspace(g.dim, [[dict(zip(b_idx, kv)).get(i, 0) for i in range(g.dim)]
+                               for kv in null_space(rows, len(b_idx)).int_rows])
     b_space = coordinate_subspace(g, b_idx)
     chk.check(t_space == b_space.intersect(maps.h_space),
               "{x ∈ B : i'(x) ∈ p̃} differs from B ∩ h")

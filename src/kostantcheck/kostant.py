@@ -29,9 +29,11 @@ operators below are written on that representation:
 Both operators commute with the torus of diagonal matrices, so every
 linear-algebra question is solved block-per-weight; chain spaces of a few
 thousand dimensions then decompose into blocks of at most a few dozen.
-The Hodge decomposition assembles those blocks with ``operator_block``
-straight from the algebra's bracket tables; ``partial`` and ``costar`` on
-cochains serve everything else and are the reference for the blocks.
+``operator_block`` reads those blocks straight from the algebra's bracket
+tables and ``block_product`` multiplies them: the Hodge decomposition
+assembles □ from them, and ``feff.normalize_step`` reads its ∂*∂ block the
+same way.  ``partial`` and ``costar`` on cochains serve everything else and
+are the reference for the blocks.
 """
 
 from __future__ import annotations
@@ -655,6 +657,24 @@ def _costar_terms(alg: GradedSL, T: tuple[int, ...], v: int):
                 yield rest[:k] + (s,) + rest[k:], v, -cf if (i + j + k) % 2 else cf
 
 
+def block_product(left: Sequence[Sequence[int | Fraction]],
+                  right: Sequence[Sequence[int | Fraction]],
+                  ncols: int) -> list[list[int | Fraction]]:
+    """left·right, summed over the nonzero entries of both factors only.
+
+    ``ncols`` is the column count of ``right``, which may have no rows (a
+    factor through an empty weight block); the product then is zero.
+    """
+    right_nz = [[(j, y) for j, y in enumerate(row) if y] for row in right]
+    out = [[0] * ncols for _ in left]
+    for out_row, left_row in zip(out, left):
+        for k, x in enumerate(left_row):
+            if x:
+                for j, y in right_nz[k]:
+                    out_row[j] += x * y
+    return out
+
+
 def _column_space(mat: list[list[int | Fraction]]) -> Subspace:
     if not mat:
         return Subspace(0)
@@ -699,16 +719,10 @@ def hodge(blocks: tuple[int, ...], deg: int = 2) -> HodgeData:
         ker_costar[w] = null_space(s_down, dim_here)
         ker_partial[w] = null_space(d_up, dim_here)
 
-        # □ = ∂∘∂* + ∂*∘∂ on this block: d_in·s_down + s_in·d_up, summed
-        # over the nonzero entries of both factors only.
-        box = [[0] * dim_here for _ in range(dim_here)]
-        for left, right in ((d_in, s_down), (s_in, d_up)):
-            right_nz = [[(j, y) for j, y in enumerate(row) if y] for row in right]
-            for box_row, left_row in zip(box, left):
-                for k, x in enumerate(left_row):
-                    if x:
-                        for j, y in right_nz[k]:
-                            box_row[j] += x * y
+        # □ = ∂∘∂* + ∂*∘∂ on this block: d_in·s_down + s_in·d_up.
+        box = [[x + y for x, y in zip(r1, r2)]
+               for r1, r2 in zip(block_product(d_in, s_down, dim_here),
+                                 block_product(s_in, d_up, dim_here))]
         ker_box[w] = null_space(box, dim_here)
 
     total = chain_total_dim(alg, deg)

@@ -38,6 +38,7 @@ from kostantcheck.feff import (
     EmbeddingMaps,
     MapConstructionError,
     ag_costar_check,
+    b_indices,
     bracket_n1F_space,
     build_maps,
     module_constrained_path,
@@ -57,10 +58,10 @@ from kostantcheck.feff import (
     verify_torsion_transfer,
     verify_transfer_memberships,
 )
-from kostantcheck.gla import elementary, graded_sl, smat_bracket, smat_trace_pair
+from kostantcheck.gla import elementary, graded_sl, smat_bracket, smat_sub, smat_trace_pair
 from kostantcheck.kostant import (ChainModule, Cochain, block_structure, blocked_coords,
                                   chain_tuples, cochain_from_block, costar, hodge, partial)
-from kostantcheck.ratlin import Subspace, kernel_basis, zero_vector
+from kostantcheck.ratlin import Subspace, kernel_basis, solve, zero_vector
 
 F = Fraction
 
@@ -367,7 +368,7 @@ class TestExactSubspaceSites:
             EmbeddingMaps(n, src)
             rep = verify_transfer_memberships(n, src)
             assert rep.ok, rep.failures
-        assert len(seen) == sum({"path": 3, "ag": 5}[src] for src in sources)
+        assert len(seen) == sum({"path": 4, "ag": 6}[src] for src in sources)
         assert min(seen) > 0
 
 
@@ -384,9 +385,58 @@ class TestNormalityDefect:
         assert alpha_part == {(1, 3): F(-2)}
         assert lhs != alpha_part
         correction = {(2, 3): F(1)}      # W_11 · Z_12 · Ẽ_23
+        assert maps.bracket_correction(z, w) == correction
         fixed = dict(alpha_part)
         fixed[(2, 3)] = fixed.get((2, 3), F(0)) - correction[(2, 3)]
         assert lhs == fixed
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_shared_correction_is_the_path_formula_on_b(self, n) -> None:
+        """On W ∈ B, where W_10 = 0, row 1 of W·Z is W_11·Z_1b:
+        C(Z, W) = W_11 · Σ_{b≥2} Z_1b Ẽ_{2,b+1}."""
+        maps = build_maps(n, "path")
+        g = maps.g
+        for (a, b) in g.pos_positions:
+            z = elementary(a, b)
+            for v in b_indices(g):
+                w = g.basis_mat(v)
+                want = {(2, bb + 1): w.get((1, 1), 0) * z.get((1, bb), 0)
+                        for bb in range(2, g.m)}
+                assert maps.bracket_correction(z, w) == {p: c for p, c in want.items() if c}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_shared_correction_is_the_ag_formula(self, n) -> None:
+        """On the AG source C(Z, Φ)_{2, 3+k} = Σ_c Φ_1c Z_{c, 2+k}."""
+        maps = build_maps(n, "ag")
+        g = maps.g
+        for (a, b) in g.pos_positions:
+            z = elementary(a, b)
+            for v in range(g.dim):
+                phi = g.basis_mat(v)
+                want = {(2, 3 + k): sum(phi.get((1, c), 0) * z.get((c, 2 + k), 0)
+                                        for c in range(2))
+                        for k in range(n)}
+                assert maps.bracket_correction(z, phi) == {p: c for p, c in want.items() if c}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_shared_correction_fails_off_b_on_n_plus_2_pairs(self, n) -> None:
+        """A computed fact: off B the path bracket relation with the shared
+        correction fails on exactly n + 2 (Z, W) basis pairs, Z = E_01 with
+        each W outside B, in columns 1 and 2 only; it fails on none in B."""
+        maps = build_maps(n, "path")
+        in_b = set(b_indices(maps.g))
+
+        def failures(values):
+            return [(z, v, {c for (_, c) in gap})
+                    for z, v, lhs, alpha_zw, corr in maps.bracket_pairs(values)
+                    if (gap := smat_sub(lhs, smat_sub(alpha_zw, corr)))]
+
+        assert failures(sorted(in_b)) == []
+        off_b = [v for v in range(maps.g.dim) if v not in in_b]
+        found = failures(off_b)
+        assert len(off_b) == len(found) == n + 2
+        assert [(z, v) for z, v, _ in found] == [((0, 1), v) for v in off_b]
+        assert all(cols <= {1, 2} for _, _, cols in found)
 
     def test_frozen_single_term_defect(self) -> None:
         maps = build_maps(2, "path")
@@ -507,6 +557,15 @@ class TestAgCostar:
         with pytest.raises(ValueError):
             ag_costar_check(Cochain(graded_sl((2, 3)), 1), build_maps(3, "ag"))
 
+    @pytest.mark.parametrize("blocks", [(4,), (1, 1, 2)])
+    def test_rejects_another_grading_before_reading_n(self, blocks) -> None:
+        """A (4,) cochain has no n to read and a path cochain is not an AG
+        one; both are rejected for their grading, with or without maps."""
+        kappa = Cochain(graded_sl(blocks), 2)
+        for maps in (None, build_maps(3, "ag")):
+            with pytest.raises(ValueError, match=r"^cochain does not match the \(2, n\) source$"):
+                ag_costar_check(kappa, maps)
+
     def test_rejects_cochain_outside_ker_costar(self) -> None:
         alg = graded_sl((2, 3))
         kappa = Cochain(alg, 2)
@@ -516,9 +575,65 @@ class TestAgCostar:
             ag_costar_check(kappa, build_maps(3, "ag"))
 
 
+def reference_normalize_step(psi: Cochain, level: int) -> Cochain | None:
+    """normalize_step with its ∂̃*∂̃ columns built the long way: each basis
+    row of the level becomes a cochain and goes through partial, costar and
+    blocked_coords; φ sums the basis cochains."""
+    alg = psi.alg
+    n = alg.blocks[1] - 1
+    dom = module_E(n) if level == 1 else module_E2(n)
+    nxt = module_E2(n) if level == 1 else ChainModule("zero", alg, 1, {})
+    structure = block_structure(alg.blocks, 1)
+    psi_blocks = blocked_coords(psi)
+    phi = Cochain(alg, 1)
+    for w in sorted(set(psi_blocks) | set(dom.spaces)):
+        dim_w = structure.block_dim(w)
+        rhs = [-v for v in psi_blocks.get(w, zero_vector(dim_w))]
+        basis = [cochain_from_block(alg, 1, w, row)
+                 for row in (dom.spaces[w].rows if w in dom.spaces else [])]
+        cols = []
+        for c in basis:
+            img = blocked_coords(costar(partial(c)))
+            assert set(img) <= {w}
+            cols.append(img.get(w, zero_vector(dim_w)))
+        cols += nxt.spaces[w].rows if w in nxt.spaces else []
+        if not cols:
+            if any(rhs):
+                return INFEASIBLE
+            continue
+        u = solve([list(r) for r in zip(*cols)], rhs)
+        if u is None:
+            return INFEASIBLE
+        for coeff, c in zip(u, basis):
+            if coeff:
+                phi.add_into(c, coeff)
+    return phi
+
+
 class TestNormalizeStep:
     def test_infeasible_is_none(self) -> None:
         assert INFEASIBLE is None
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_the_cochain_column_reference(self, n) -> None:
+        """Seeded constructed residuals and a basis element at both levels,
+        and transfer residuals, against the reference; ∂̃*∂̃ restricts
+        bijectively to each level, so every one is feasible."""
+        rng = random.Random(f"normalize:{n}")
+        maps = build_maps(n, "ag")
+        psis = []
+        for level, module in ((1, module_E), (2, module_E2)):
+            basis = module(n).basis_cochains()
+            psis += [(costar(partial(combine(basis, rng))).scale(-1), level)
+                     for _ in range(3)]
+            psis.append((basis[0], level))
+        kernel = hodge((2, n), 2).ker_costar.basis_cochains()
+        psis += [(costar(transfer(combine(kernel, rng), maps)), 1) for _ in range(3)]
+        for psi, level in psis:
+            got = normalize_step(psi, level, maps)
+            want = reference_normalize_step(psi, level)
+            assert got is not INFEASIBLE and want is not INFEASIBLE
+            assert cochain_to_doc(got) == cochain_to_doc(want)
 
     def test_level_one_constructed_preimage(self) -> None:
         rng = random.Random(31)
