@@ -30,9 +30,9 @@ from .feff import (INFEASIBLE, SOURCES, Report, _Checker, ag_costar_check,
                    verify_transfer_memberships)
 from .gla import (grading_axiom_holds, graded_sl, jacobi_holds,
                   negative_part_generated_by_deg_minus_one, smat_add_into)
-from .kostant import (ChainModule, Cochain, basis_cochain, chain_tuples,
-                      costar, costar_two_form, homogeneity, homogeneity_split,
-                      hodge, lift_classes, partial)
+from .kostant import (Cochain, basis_cochain, chain_tuples, costar,
+                      costar_two_form, homogeneity, homogeneity_split, hodge,
+                      lift_classes, partial)
 from .penrose import (TRACE_SIG, W_SIG, WP_SIG, EFTensor, extract_blocks,
                       ric_from_rho, rho_cochain, rho_from_ric, sym_split,
                       tr_W, tr_Wp, weyl_from_curvature)
@@ -190,49 +190,46 @@ def check_ag_costar(n: int, rng: random.Random, trials: int) -> Report:
 
 def check_normalize_step(n: int, rng: random.Random, trials: int) -> Report:
     """normalize_step on constructed preimages at both filtration levels and
-    on codifferentials of transferred ker∂* samples, verifying feasibility
-    and that each residual lands in the next filtration level."""
+    on codifferentials of transferred ker∂* samples: each ψ lies in its
+    level, is feasible, and costar(partial(φ)) + ψ is exactly zero.  That
+    residual goes through the cochain operators, so it cross-checks the
+    operator-block solve.  A ψ outside its level fails the trial, whose
+    solve is skipped."""
     maps = build_maps(n, "ag")
     e_mod, e2_mod = module_E(n), module_E2(n)
     chk = _Checker()
-    for level, mod, nxt in ((1, e_mod, e2_mod),
-                            (2, e2_mod, ChainModule("zero", maps.gt, 1, {}))):
+    for level, mod in ((1, e_mod), (2, e2_mod)):
         basis = mod.basis_cochains()
         for trial in range(max(1, trials // 4)):
             phi0 = _random_combination(basis, rng)
             psi = costar(partial(phi0)).scale(-1)
-            chk.check(mod.contains(psi),
+            in_level = mod.contains(psi)
+            chk.check(in_level,
                       f"level {level}: ∂̃*∂̃ left the filtration level at trial {trial}")
+            if not in_level:
+                continue
             phi = normalize_step(psi, level, maps)
             chk.check(phi is not INFEASIBLE,
                       f"level {level}: constructed preimage infeasible at trial {trial}")
             if phi is INFEASIBLE:
                 continue
-            residual = costar(partial(phi)).add(psi)
-            chk.check(residual.is_zero() or nxt.contains(residual),
-                      f"level {level}: residual outside the next level at trial {trial}")
+            chk.check(costar(partial(phi)).add(psi).is_zero(),
+                      f"level {level}: nonzero residual at trial {trial}")
             chk.check(mod.contains(phi),
                       f"level {level}: solution outside the level at trial {trial}")
     basis = hodge((2, n), 2).ker_costar.basis_cochains()
     for trial in range(max(1, trials // 2)):
         psi = costar(transfer(_random_combination(basis, rng), maps))
-        chk.check(e_mod.contains(psi),
-                  f"transfer residual outside 𝔼 at trial {trial}")
+        in_level = e_mod.contains(psi)
+        chk.check(in_level, f"transfer residual outside 𝔼 at trial {trial}")
+        if not in_level:
+            continue
         phi = normalize_step(psi, 1, maps)
         chk.check(phi is not INFEASIBLE,
                   f"transfer residual infeasible at trial {trial}")
-        if phi is INFEASIBLE:
-            continue
-        r1 = costar(partial(phi)).add(psi)
-        chk.check(r1.is_zero() or e2_mod.contains(r1),
-                  f"transfer residual left 𝔼⁽²⁾ at trial {trial}")
-        if not r1.is_zero():
-            phi2 = normalize_step(r1, 2, maps)
-            chk.check(phi2 is not INFEASIBLE,
-                      f"second normalization pass infeasible at trial {trial}")
-            if phi2 is not INFEASIBLE:
-                chk.check(costar(partial(phi2)).add(r1).is_zero(),
-                          f"second pass left a residual at trial {trial}")
+        if phi is not INFEASIBLE:
+            chk.check(costar(partial(phi)).add(psi).is_zero(),
+                      f"transfer residual not solved exactly at trial {trial}")
     return chk.report(n, {
         "E_dim": e_mod.dim, "E2_dim": e2_mod.dim,
     })

@@ -29,7 +29,7 @@ from kostantcheck.cochain_io import (
 )
 from kostantcheck.feff import (Report, _Checker, build_maps, transfer,
                                verify_harmonic_types)
-from kostantcheck.gla import graded_sl
+from kostantcheck.gla import elementary, graded_sl
 from kostantcheck.kostant import Cochain, costar
 
 F = Fraction
@@ -350,6 +350,22 @@ class TestCheckRegistry:
                          "--n-max", "3", "--trials", "1"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "counterexample: trial 0: bracket 0 (10 failures)" in out
+
+    def test_residual_outside_e_fails_normalize_step(self, capsys, monkeypatch) -> None:
+        """A transfer residual outside 𝔼 is a failed trial, not an error."""
+        def off_level(kappa, maps):
+            out = transfer(kappa, maps)
+            out.add_term((0, 1), elementary(3, 0))
+            return out
+
+        monkeypatch.setattr(checks, "transfer", off_level)
+        rep = run_check("normalize-step", 3, 1, 3)
+        assert not rep.ok and rep.failed == 1
+        assert rep.failures == ["transfer residual outside 𝔼 at trial 0"]
+        assert cli.main(["verify", "--check", "normalize-step", "--n-min", "3",
+                         "--n-max", "3"]) == 1
+        assert "counterexample: transfer residual outside 𝔼 at trial 0" in (
+            capsys.readouterr().out)
 
     def test_failing_ag_harmonic_type_fails_the_sweep(self, monkeypatch) -> None:
         typed = {"ok": False, "harmonic_dim": 0, "tau_dim": 0, "rho_dim": 0,

@@ -27,6 +27,7 @@ from fractions import Fraction
 import pytest
 
 from kostantcheck import feff
+from kostantcheck.checks import run_check
 from kostantcheck.cochain_io import cochain_to_doc
 from kostantcheck.feff import (
     INFEASIBLE,
@@ -489,7 +490,7 @@ class TestVerificationSweeps:
 
     def test_norm_modules_frozen(self) -> None:
         rep = verify_norm_modules(3)
-        assert rep.ok and rep.cases == 670
+        assert rep.ok and rep.cases == 707
         assert rep.details == {
             "E_dim": 54, "F_dim": 498, "E2_dim": 36,
             "im_costar_cap_E": 54, "im_partial_cap_F": 54,
@@ -644,7 +645,7 @@ class TestNormalizeStep:
             phi = normalize_step(psi, 1)
             assert phi is not INFEASIBLE
             assert e_mod.contains(phi)
-            assert module_E2(3).contains(costar(partial(phi)).add(psi))
+            assert costar(partial(phi)).add(psi).is_zero()
 
     def test_level_two_constructed_preimage(self) -> None:
         rng = random.Random(32)
@@ -675,11 +676,27 @@ class TestNormalizeStep:
         produced by the construction."""
         from kostantcheck.kostant import ChainModule
 
-        mod = module(3)
-        images = [costar(partial(c)) for c in mod.basis_cochains()]
-        assert all(mod.contains(img) for img in images)
-        image_mod = ChainModule.from_cochains("image", mod.alg, 1, images)
-        assert image_mod.dim == mod.dim
+        for n in (3, 4):
+            mod = module(n)
+            images = [costar(partial(c)) for c in mod.basis_cochains()]
+            assert all(mod.contains(img) for img in images)
+            image_mod = ChainModule.from_cochains("image", mod.alg, 1, images)
+            assert image_mod.dim == mod.dim
+
+    def test_singular_block_is_infeasible(self, monkeypatch) -> None:
+        """With ∂̃*∂̃ stubbed to an all-zero block, a nonzero ψ has no
+        preimage: normalize_step returns INFEASIBLE and the normalize-step
+        cell records failures instead of raising."""
+        monkeypatch.setattr(feff, "block_product",
+                            lambda left, right, ncols: [[0] * ncols for _ in left])
+        psi = module_E(3).basis_cochains()[0]
+        assert normalize_step(psi, 1) is INFEASIBLE
+        rep = run_check("normalize-step", 3, 1, 3)
+        assert not rep.ok and rep.failed == 3 and rep.cases == 6
+        assert rep.failures == [
+            "level 1: constructed preimage infeasible at trial 0",
+            "level 2: constructed preimage infeasible at trial 0",
+            "transfer residual infeasible at trial 0"]
 
     def test_level_validation(self) -> None:
         alg = graded_sl((2, 4))
