@@ -35,13 +35,13 @@ from functools import lru_cache
 from typing import Callable, Hashable, Iterator, Sequence
 
 from . import penrose
-from .gla import (GradedSL, SparseMat, elementary, graded_sl, smat_add_into,
-                  smat_bracket, smat_sub, smat_trace)
+from .gla import (GradedSL, SparseMat, Weight, elementary, graded_sl,
+                  smat_add_into, smat_bracket, smat_sub, smat_trace)
 from .kostant import (ChainModule, Cochain, apply_insertion, block_product,
                       block_structure, blocked_coords, chain_tuples,
-                      cochain_from_block, costar, hodge, index_positions,
-                      insertion_partners, insertion_table, operator_block,
-                      partial)
+                      cochain_from_block, coordinate_subspace, costar, hodge,
+                      index_positions, insertion_partners, insertion_table,
+                      operator_block)
 from .ratlin import Subspace, frac, null_space, solve, zero_vector
 
 #: Sentinel returned by :func:`normalize_step` when ∂̃*∂̃φ = −ψ has no
@@ -390,10 +390,6 @@ def q0ss_indices(g: GradedSL) -> list[int]:
             or (lab[0] == "H" and lab[1] >= 2)]
 
 
-def coordinate_subspace(g: GradedSL, indices: Sequence[int]) -> Subspace:
-    return Subspace(g.dim, [_unit(g.dim, i) for i in indices])
-
-
 @lru_cache(maxsize=None)
 def _path_neg_types(n: int) -> tuple[str, ...]:
     """Type of each negative direction of the (1,1,n) grading: E, V or 2."""
@@ -522,19 +518,13 @@ def module_F(n: int) -> ChainModule:
     """𝔽 = ñ_1^E∧ñ_2 ⊗ ñ^{1,F}  ⊕  Λ²ñ_2 ⊗ [g̃, ñ^{1,F}]."""
     gt = graded_sl((2, n + 1))
     e_dual = set(_e_dual_indices(gt))
-    labels = []
-    mixed = []
+    n1f, bracket = coordinate_subspace(gt, _n1f_value_indices(gt)), bracket_n1F_space(n)
+    parts = []
     for T in chain_tuples(gt, 2):
         in_e = sum(1 for t in T if t in e_dual)
-        if in_e == 1:
-            labels.extend((T, v) for v in _n1f_value_indices(gt))
-        elif in_e == 0:
-            mixed.append(T)
-    part1 = ChainModule.from_labels("F-mixed", gt, 2, labels)
-    bracket_mats = [gt.from_coords(row) for row in bracket_n1F_space(n).rows]
-    cochains = [Cochain(gt, 2, {T: mat}) for T in mixed for mat in bracket_mats]
-    part2 = ChainModule.from_cochains("F-n2n2", gt, 2, cochains)
-    return part1.sum_with(part2, "F-module")
+        if in_e < 2:
+            parts.append((T, n1f if in_e else bracket))
+    return ChainModule.from_tensor("F-module", gt, 2, parts)
 
 
 def _constrained_module(module: ChainModule, name: str,
@@ -854,6 +844,24 @@ def ag_costar_check(kappa: Cochain, maps: EmbeddingMaps | None = None) -> Report
     })
 
 
+def module_images(module: ChainModule, block: Callable[[Weight], Sequence[Sequence[int]]]
+                  ) -> list[tuple[Weight, list[int | Fraction]]]:
+    """(w, block(w)·b) for the canonical integer rows b of the module, in the
+    order of :meth:`ChainModule.basis_cochains`."""
+    out = []
+    for w in sorted(module.spaces):
+        rows = module.spaces[w].int_rows
+        prod = block_product(block(w), list(zip(*rows)), len(rows))
+        out.extend((w, [row[k] for row in prod]) for k in range(len(rows)))
+    return out
+
+
+def _images_rank(images: list[tuple[Weight, list[int | Fraction]]]) -> int:
+    """The dimension of the span of the block vectors (w, vec)."""
+    return sum(Subspace(len(vecs[0]), vecs).dim for vecs in
+               ([v for u, v in images if u == w] for w in {w for w, _ in images}))
+
+
 def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
     """Stability ∂̃𝔼 ⊆ 𝔽, ∂̃*𝔽 ⊆ 𝔼, the mutual bijections between
     im∂̃*∩𝔼 and im∂̃∩𝔽, im∂̃*∩𝔼 = 𝔼 and ∂̃*∂̃𝔼⁽²⁾ ⊆ 𝔼⁽²⁾ (so ∂̃*∂̃ is
@@ -863,34 +871,38 @@ def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
     g, gt = maps.g, maps.gt
     chk = _Checker()
     e_mod, f_mod, e2_mod = module_E(n), module_F(n), module_E2(n)
+    here, above = block_structure(gt.blocks, 1), block_structure(gt.blocks, 2)
+    up = lru_cache(maxsize=None)(lambda w: operator_block(here, above, w))
+    down = lru_cache(maxsize=None)(lambda w: operator_block(above, here, w))
 
-    for idx, c in enumerate(e_mod.basis_cochains()):
-        chk.check(f_mod.contains(partial(c)), f"∂E ⊄ F at basis element {idx}")
-    for idx, c in enumerate(f_mod.basis_cochains()):
-        chk.check(e_mod.contains(costar(c)), f"∂*F ⊄ E at basis element {idx}")
+    for idx, (w, img) in enumerate(module_images(e_mod, up)):
+        chk.check(f_mod.contains_block(w, img), f"∂E ⊄ F at basis element {idx}")
+    for idx, (w, img) in enumerate(module_images(f_mod, down)):
+        chk.check(e_mod.contains_block(w, img), f"∂*F ⊄ E at basis element {idx}")
 
     h1 = hodge(gt.blocks, 1)
     h2 = hodge(gt.blocks, 2)
     m1 = h1.im_costar.intersect(e_mod, "im∂*∩E")
     m2 = h2.im_partial.intersect(f_mod, "im∂∩F")
     chk.check(m1.dim == m2.dim, "dim(im∂*∩E) != dim(im∂∩F)")
-    fwd = [partial(c) for c in m1.basis_cochains()]
-    for idx, img in enumerate(fwd):
-        chk.check(m2.contains(img), f"∂(im∂*∩E) left im∂∩F at {idx}")
-    fwd_rank = ChainModule.from_cochains("∂(M1)", gt, 2, fwd).dim
+    fwd = module_images(m1, up)
+    for idx, (w, img) in enumerate(fwd):
+        chk.check(m2.contains_block(w, img), f"∂(im∂*∩E) left im∂∩F at {idx}")
+    fwd_rank = _images_rank(fwd)
     chk.check(fwd_rank == m1.dim, "∂ not injective on im∂*∩E")
     chk.check(fwd_rank == m2.dim, "∂(im∂*∩E) does not span im∂∩F")
-    bwd = [costar(c) for c in m2.basis_cochains()]
-    for idx, img in enumerate(bwd):
-        chk.check(m1.contains(img), f"∂*(im∂∩F) left im∂*∩E at {idx}")
-    bwd_rank = ChainModule.from_cochains("∂*(M2)", gt, 1, bwd).dim
+    bwd = module_images(m2, down)
+    for idx, (w, img) in enumerate(bwd):
+        chk.check(m1.contains_block(w, img), f"∂*(im∂∩F) left im∂*∩E at {idx}")
+    bwd_rank = _images_rank(bwd)
     chk.check(bwd_rank == m2.dim, "∂* not injective on im∂∩F")
     chk.check(bwd_rank == m1.dim, "∂*(im∂∩F) does not span im∂*∩E")
     # With the bijections above, im∂*∩E = E makes ∂̃*∂̃ bijective on E; with
     # ∂̃*∂̃E2 ⊆ E2 and injectivity it is bijective on E2 as well.
     chk.check(m1.same_space(e_mod), "im∂*∩E differs from E")
-    for idx, c in enumerate(e2_mod.basis_cochains()):
-        chk.check(e2_mod.contains(costar(partial(c))), f"∂*∂E2 ⊄ E2 at basis element {idx}")
+    for idx, (w, img) in enumerate(module_images(
+            e2_mod, lambda w: block_product(down(w), up(w), here.block_dim(w)))):
+        chk.check(e2_mod.contains_block(w, img), f"∂*∂E2 ⊄ E2 at basis element {idx}")
 
     # condition-set realizations
     p_basis = p_indices(g)
@@ -911,10 +923,8 @@ def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
     chk.check(e_cond.same_space(e_mod),
               "condition set {φ ∈ p̃_+⊗n1F : φ(i'(p)) = 0} differs from E")
 
-    bk_mats = [gt.from_coords(row) for row in bracket_n1F_space(n).rows]
-    amb2 = ChainModule.from_cochains(
-        "Λ²p̃_+⊗[g̃,n1F]", gt, 2,
-        (Cochain(gt, 2, {T: mat}) for T in chain_tuples(gt, 2) for mat in bk_mats))
+    amb2 = ChainModule.from_tensor("Λ²p̃_+⊗[g̃,n1F]", gt, 2,
+                                   ((T, bracket_n1F_space(n)) for T in chain_tuples(gt, 2)))
     n1f_idx = set(_n1f_value_indices(gt))
 
     # ψ(i'p, i'p) = 0 on every coordinate, ψ(i'p, i'g) = 0 off n1F.
@@ -958,8 +968,7 @@ def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
     })
 
 
-def normalize_step(psi: Cochain, level: int,
-                   maps: EmbeddingMaps | None = None) -> Cochain | None:
+def normalize_step(psi: Cochain, level: int) -> Cochain | None:
     """Solve ∂̃*∂̃φ = −ψ exactly for φ ∈ 𝔼^{(level)}, with 𝔼^{(1)} = 𝔼 and
     𝔼^{(2)} = ñ_2⊗ñ_2.
 
@@ -968,7 +977,7 @@ def normalize_step(psi: Cochain, level: int,
     maps 𝔼 and 𝔼⁽²⁾ onto themselves bijectively (checked by
     ``norm-modules``), so every ψ of the level has a preimage.  Returns the
     cochain φ, or INFEASIBLE (None) when some block's system has no
-    solution.  ψ must lie in the level; ``maps`` is unused.
+    solution.  ψ must lie in the level.
     """
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
@@ -988,12 +997,10 @@ def normalize_step(psi: Cochain, level: int,
         # ∂̃*∂̃ on this weight block, applied to the level's basis rows.
         box = block_product(operator_block(above, here, w),
                             operator_block(here, above, w), dim_w)
-        cols = [[sum(x * y for x, y in zip(box_row, row) if x) for box_row in box]
-                for row in space.rows]
-        u = solve(list(zip(*cols)), rhs)
+        u = solve(block_product(box, list(zip(*space.int_rows)), space.dim), rhs)
         if u is None:
             return INFEASIBLE
-        vec = [sum(c * x for c, x in zip(u, col) if c) for col in zip(*space.rows)]
+        vec = [sum(c * x for c, x in zip(u, col) if c) for col in zip(*space.int_rows)]
         phi.add_into(cochain_from_block(alg, 1, w, vec))
     return phi
 

@@ -29,11 +29,16 @@ operators below are written on that representation:
 Both operators commute with the torus of diagonal matrices, so every
 linear-algebra question is solved block-per-weight; chain spaces of a few
 thousand dimensions then decompose into blocks of at most a few dozen.
-``operator_block`` reads those blocks straight from the algebra's bracket
-tables and ``block_product`` multiplies them: the Hodge decomposition
-assembles □ from them, and ``feff.normalize_step`` reads its ∂*∂ block the
-same way.  ``partial`` and ``costar`` on cochains serve everything else and
-are the reference for the blocks.
+``operator_block`` reads those blocks from the algebra's bracket tables and
+a per-tuple table of the exterior part, and ``block_product`` multiplies
+them.  The Hodge decomposition, the module maps of ``norm-modules`` and the
+∂*∂ solve of ``feff.normalize_step`` read blocks; every other check, and the
+residual of that solve, applies ``partial`` and ``costar`` to cochains.  The
+tier-1 tests pin each to the other: ``test_kostant.py``'s
+``test_operator_block_columns_match_blocked_coords`` (every column),
+``test_costar_partial_block_matches_the_cochain_operators`` and
+``test_assembled_box_matches_the_laplacian_oracle``, and ``test_feff.py``'s
+``test_block_images_match_the_cochain_operators``.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .gla import (
     smat_bracket,
     smat_scale,
 )
-from .ratlin import Subspace, frac, null_space, zero_vector
+from .ratlin import Subspace, null_space
 
 
 def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
@@ -474,25 +479,31 @@ def block_structure(blocks: tuple[int, ...], deg: int) -> BlockStructure:
     return BlockStructure(graded_sl(blocks), deg)
 
 
-def blocked_coords(c: Cochain) -> dict[Weight, list[Fraction]]:
-    """Coordinates of a cochain, one dense vector per weight block."""
+def blocked_coords(c: Cochain) -> dict[Weight, list[int | Fraction]]:
+    """Coordinates of a cochain, one dense vector per weight block, as stored."""
     structure = block_structure(c.alg.blocks, c.deg)
-    out: dict[Weight, list[Fraction]] = {}
+    out: dict[Weight, list[int | Fraction]] = {}
     for T, u in c.data.items():
-        for v, cf in enumerate(c.alg.coords(u)):
-            if cf:
-                w, i = structure.pos_of[(T, v)]
-                out.setdefault(w, zero_vector(structure.block_dim(w)))[i] = cf
+        for v, cf in c.alg.sparse_coords(u):
+            w, i = structure.pos_of[(T, v)]
+            out.setdefault(w, [0] * structure.block_dim(w))[i] = cf
     return out
 
 
 def cochain_from_block(alg: GradedSL, deg: int, w: Weight, vec: Sequence) -> Cochain:
+    """The cochain of block coordinates ``vec``, integral ones stored as ``int``."""
     structure = block_structure(alg.blocks, deg)
     out = Cochain(alg, deg)
     for cf, (T, v) in zip(vec, structure.labels[w]):
         if cf:
-            out.add_term(T, alg.basis_mat(v), frac(cf))
+            out.add_term(T, alg.basis_mat(v), cf.numerator if cf.denominator == 1 else cf)
     return out
+
+
+def coordinate_subspace(alg: GradedSL, indices: Iterable[int]) -> Subspace:
+    """The span of the basis elements ``indices`` of g, in its coordinates."""
+    return Subspace.echelon(alg.dim, ([int(j == i) for j in range(alg.dim)]
+                                      for i in sorted(set(indices))))
 
 
 class ChainModule:
@@ -500,7 +511,10 @@ class ChainModule:
 
     The per-block reduced echelon bases make equality, membership, sums and
     intersections exact and cheap even when the ambient chain space has
-    thousands of coordinates.
+    thousands of coordinates.  A tensor module ⊕_T Z_T ⊗ B_T, each B_T ⊆ g
+    spanned by weight vectors, gets them by construction (:meth:`from_tensor`;
+    :meth:`from_labels` is the coordinate case): block labels run T-major, so
+    the rows of each B_T placed at the labels (T, v) are the canonical rows.
     """
 
     def __init__(self, name: str, alg: GradedSL, deg: int,
@@ -514,32 +528,51 @@ class ChainModule:
     @classmethod
     def from_cochains(cls, name: str, alg: GradedSL, deg: int,
                       cochains: Iterable[Cochain]) -> "ChainModule":
-        vectors: dict[Weight, list[list[Fraction]]] = {}
+        """The span of the cochains, by one elimination per weight block."""
+        structure = block_structure(alg.blocks, deg)
+        vectors: dict[Weight, list[list[int | Fraction]]] = {}
         for c in cochains:
             for w, vec in blocked_coords(c).items():
                 vectors.setdefault(w, []).append(vec)
-        return cls._spanned(name, alg, deg, vectors)
+        return cls(name, alg, deg, {w: Subspace(structure.block_dim(w), vecs)
+                                    for w, vecs in vectors.items()})
+
+    @classmethod
+    def from_tensor(cls, name: str, alg: GradedSL, deg: int,
+                    parts: Iterable[tuple[tuple[int, ...], Subspace]]) -> "ChainModule":
+        """⊕ Z_T ⊗ B_T over the pairs (T, B_T) of ``parts``, each B_T a
+        Subspace of g with weight vectors as its canonical rows.  A repeated T
+        or a row mixing weights is a ``ValueError``; no row is split."""
+        parts = list(parts)
+        if len({T for T, _ in parts}) != len(parts):
+            raise ValueError("a tuple is repeated in a tensor module")
+        structure = block_structure(alg.blocks, deg)
+        rows: dict[Weight, list[list[int]]] = {}
+        for T, space in parts:
+            if space.ambient != alg.dim:
+                raise ValueError("tensor factor is not a subspace of g")
+            for b in space.int_rows:
+                places = [(structure.pos_of[(T, v)], x) for v, x in enumerate(b) if x]
+                w = places[0][0][0]
+                if any(wv != w for (wv, _), _ in places):
+                    raise ValueError(f"a row of the factor at {T} mixes weights")
+                at = {i: x for (_, i), x in places}
+                rows.setdefault(w, []).append([at.get(i, 0) for i in range(structure.block_dim(w))])
+        # Rows positive at their pivots: decreasing order is increasing pivot.
+        return cls(name, alg, deg, {w: Subspace.echelon(structure.block_dim(w),
+                                                        sorted(vecs, reverse=True))
+                                    for w, vecs in rows.items()})
 
     @classmethod
     def from_labels(cls, name: str, alg: GradedSL, deg: int,
                     labels: Iterable[tuple[tuple[int, ...], int]]) -> "ChainModule":
         """Coordinate submodule spanned by chain-basis labels (T, v)."""
-        structure = block_structure(alg.blocks, deg)
-        vectors: dict[Weight, list[list[int]]] = {}
-        for tv in labels:
-            w, i = structure.pos_of[tv]
-            vec = [0] * structure.block_dim(w)
-            vec[i] = 1
-            vectors.setdefault(w, []).append(vec)
-        return cls._spanned(name, alg, deg, vectors)
-
-    @classmethod
-    def _spanned(cls, name: str, alg: GradedSL, deg: int,
-                 vectors: dict[Weight, list[Sequence]]) -> "ChainModule":
-        """The module spanned by block vectors, one Subspace per weight."""
-        structure = block_structure(alg.blocks, deg)
-        return cls(name, alg, deg, {w: Subspace(structure.block_dim(w), vecs)
-                                    for w, vecs in vectors.items()})
+        values: dict[tuple[int, ...], set[int]] = {}
+        for T, v in labels:
+            values.setdefault(T, set()).add(v)
+        factors = {vs: coordinate_subspace(alg, vs) for vs in set(map(frozenset, values.values()))}
+        return cls.from_tensor(name, alg, deg,
+                               [(T, factors[frozenset(vs)]) for T, vs in values.items()])
 
     @property
     def dim(self) -> int:
@@ -548,11 +581,12 @@ class ChainModule:
     def contains(self, c: Cochain) -> bool:
         if c.alg.blocks != self.alg.blocks or c.deg != self.deg:
             return False
-        for w, vec in blocked_coords(c).items():
-            space = self.spaces.get(w)
-            if space is None or not space.contains(vec):
-                return False
-        return True
+        return all(self.contains_block(w, vec) for w, vec in blocked_coords(c).items())
+
+    def contains_block(self, w: Weight, vec: Sequence[int | Fraction]) -> bool:
+        """Whether the weight-w block vector ``vec`` lies in the module."""
+        space = self.spaces.get(w)
+        return space.contains(vec) if space is not None else not any(vec)
 
     def is_contained_in(self, other: "ChainModule") -> bool:
         for w, space in self.spaces.items():
@@ -598,63 +632,58 @@ def operator_block(structure_in: BlockStructure, structure_out: BlockStructure,
 
     Rows index the target block, columns the source block; an empty source
     or target block yields a matrix with zero columns or rows.  The column
-    of a label (T, v) is the image of Z_T ⊗ basis_v, read straight off the
-    algebra's tables (``action_coords`` with ``neg_pair_coords`` for ∂, with
-    ``pos_pair_coords`` for ∂*) with the signs of :func:`partial` and
-    :func:`costar` taken on sorted tuples.  Entries are ``int``.
+    of a label (T, v) is the image of Z_T ⊗ basis_v: the exterior part of
+    Z_T, from :func:`_exterior_table`, with the bracket action of the
+    algebra (``action_coords``) on basis_v.  Entries are ``int``.
     """
-    terms = {1: _partial_terms, -1: _costar_terms}.get(structure_out.deg - structure_in.deg)
-    if terms is None:
+    step = structure_out.deg - structure_in.deg
+    if step not in (1, -1):
         raise ValueError("operator_block maps one degree up (∂) or one down (∂*)")
     alg = structure_in.alg
+    action = alg.action_coords[0 if step == 1 else 1]
+    table = _exterior_table(alg.blocks, structure_in.deg, step)
     pos_of = structure_out.pos_of
     cols = structure_in.labels.get(w, [])
     mat = [[0] * len(cols) for _ in range(structure_out.block_dim(w))]
     for col, (T, v) in enumerate(cols):
-        for S, idx, cf in terms(alg, T, v):
-            wv, i = pos_of[(S, idx)]
-            if wv != w:
-                raise AssertionError("operator did not preserve the weight")
-            mat[i][col] += cf
+        for x, S, sign in table[T]:
+            for idx, cf in action[x][v] if x is not None else ((v, 1),):
+                wv, i = pos_of[(S, idx)]
+                if wv != w:
+                    raise AssertionError("operator did not preserve the weight")
+                mat[i][col] += sign * cf
     return mat
 
 
-def _partial_terms(alg: GradedSL, T: tuple[int, ...], v: int):
-    """Terms (S, index, coefficient) of ∂(Z_T ⊗ basis_v), S increasing."""
-    x_action = alg.action_coords[0]
-    for x in range(alg.dim_neg):
-        if x in T:
-            continue
-        pos = bisect_left(T, x)
-        S = T[:pos] + (x,) + T[pos:]
-        for idx, cf in x_action[x][v]:
-            yield S, idx, -cf if pos % 2 else cf
-    neg_pairs = alg.neg_pair_coords
-    for q, s in enumerate(T):
-        rest = T[:q] + T[q + 1:]
-        for a, b, cf in neg_pairs.get(s, ()):
-            if a in rest or b in rest:
-                continue
-            S = tuple(sorted(rest + (a, b)))
-            yield S, v, -cf if (S.index(a) + S.index(b) + q) % 2 else cf
-
-
-def _costar_terms(alg: GradedSL, T: tuple[int, ...], v: int):
-    """Terms (S, index, coefficient) of ∂*(Z_T ⊗ basis_v), S increasing."""
-    z_action = alg.action_coords[1]
-    for i, t in enumerate(T):
-        S = T[:i] + T[i + 1:]
-        for idx, cf in z_action[t][v]:
-            yield S, idx, cf if i % 2 else -cf
-    pos_pairs = alg.pos_pair_coords
-    for i in range(len(T)):
-        for j in range(i + 1, len(T)):
-            rest = T[:i] + T[i + 1:j] + T[j + 1:]
-            for s, cf in pos_pairs.get((T[i], T[j]), ()):
-                if s in rest:
-                    continue
-                k = bisect_left(rest, s)
-                yield rest[:k] + (s,) + rest[k:], v, -cf if (i + j + k) % 2 else cf
+@lru_cache(maxsize=None)
+def _exterior_table(blocks: tuple[int, ...], deg: int, step: int) -> dict[tuple[int, ...], list]:
+    """T ↦ the terms (x, S, c) of ∂ (``step`` 1) or ∂* (``step`` −1) on
+    Z_T ⊗ A for each degree-``deg`` tuple T, with the signs of :func:`partial`
+    and :func:`costar`: c times A bracketed with X^x (∂) or Z_x (∂*), or A
+    itself when x is None (the second sum), on the increasing tuple S."""
+    alg = graded_sl(blocks)
+    table = {}
+    for T in chain_tuples(alg, deg):
+        if step == 1:
+            terms = [(x, T[:p] + (x,) + T[p:], -1 if p % 2 else 1)
+                     for x in range(alg.dim_neg) if x not in T for p in (bisect_left(T, x),)]
+            for q, s in enumerate(T):
+                rest = T[:q] + T[q + 1:]
+                for a, b, cf in alg.neg_pair_coords.get(s, ()):
+                    if a not in rest and b not in rest:
+                        S = tuple(sorted(rest + (a, b)))
+                        terms.append((None, S, -cf if (S.index(a) + S.index(b) + q) % 2 else cf))
+        else:
+            terms = [(t, T[:i] + T[i + 1:], 1 if i % 2 else -1) for i, t in enumerate(T)]
+            for i, j in combinations(range(len(T)), 2):
+                rest = T[:i] + T[i + 1:j] + T[j + 1:]
+                for s, cf in alg.pos_pair_coords.get((T[i], T[j]), ()):
+                    if s not in rest:
+                        k = bisect_left(rest, s)
+                        terms.append((None, rest[:k] + (s,) + rest[k:],
+                                      -cf if (i + j + k) % 2 else cf))
+        table[T] = terms
+    return table
 
 
 def block_product(left: Sequence[Sequence[int | Fraction]],

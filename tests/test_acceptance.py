@@ -247,7 +247,7 @@ def test_criterion_08_normalization() -> None:
     exact = 0
     for _ in range(5):
         psi = costar(transfer(combine(basis, rng), maps))
-        phi = normalize_step(psi, 1, maps)
+        phi = normalize_step(psi, 1)
         assert phi is not INFEASIBLE
         residual = costar(partial(phi)).add(psi)
         assert e2_mod.contains(residual)
@@ -256,7 +256,7 @@ def test_criterion_08_normalization() -> None:
         nxt = e2_mod if level == 1 else None
         for _ in range(3):
             psi = costar(partial(combine(mod.basis_cochains(), rng))).scale(-1)
-            phi = normalize_step(psi, level, maps)
+            phi = normalize_step(psi, level)
             assert phi is not INFEASIBLE and mod.contains(phi)
             residual = costar(partial(phi)).add(psi)
             assert residual.is_zero() if nxt is None else nxt.contains(residual)

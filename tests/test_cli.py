@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from kostantcheck.cochain_io import (
 from kostantcheck.feff import (Report, _Checker, build_maps, transfer,
                                verify_harmonic_types)
 from kostantcheck.gla import elementary, graded_sl
-from kostantcheck.kostant import Cochain, costar
+from kostantcheck.kostant import ChainModule, Cochain, costar
 
 F = Fraction
 
@@ -366,6 +367,29 @@ class TestCheckRegistry:
                          "--n-max", "3"]) == 1
         assert "counterexample: transfer residual outside 𝔼 at trial 0" in (
             capsys.readouterr().out)
+
+    @pytest.mark.parametrize("kind,failing", [
+        ("im costar", ("Hodge dimensions do not sum to the chain dimension",
+                       "im∂* meets ker□", "ker□ differs from ker∂ ∩ ker∂*",
+                       "ker∂* differs from im∂* ⊕ ker□", "ker∂ differs from ker□ ⊕ im∂")),
+        ("zero", ("Hodge dimensions do not sum to the chain dimension",
+                  "ker□ differs from ker∂ ∩ ker∂*",
+                  "ker∂* differs from im∂* ⊕ ker□", "ker∂ differs from ker□ ⊕ im∂"))])
+    def test_wrong_harmonic_space_fails_hodge(self, monkeypatch, kind, failing) -> None:
+        """ker□ replaced by im∂* (meets im∂*, not inside ker∂) or by zero
+        (inside ker∂ ∩ ker∂*, but of the wrong dimension): the sum tests
+        fail the same seven cases per grading, by name."""
+        hodge = checks.hodge
+
+        def wrong(blocks, deg):
+            hd = hodge(blocks, deg)
+            box = hd.im_costar if kind == "im costar" else ChainModule("zero", hd.ker_box.alg, deg)
+            return replace(hd, ker_box=box)
+
+        monkeypatch.setattr(checks, "hodge", wrong)
+        rep = run_check("hodge", 2, 1, 1)
+        assert rep.cases == 14 and rep.failed == 2 * len(failing)
+        assert rep.failures[:len(failing)] == [f"1-1-2: {msg}" for msg in failing]
 
     def test_failing_ag_harmonic_type_fails_the_sweep(self, monkeypatch) -> None:
         typed = {"ok": False, "harmonic_dim": 0, "tau_dim": 0, "rho_dim": 0,

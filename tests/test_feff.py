@@ -48,6 +48,7 @@ from kostantcheck.feff import (
     module_E_path,
     module_F,
     module_F_path,
+    module_images,
     normality_defect,
     normalize_step,
     transfer,
@@ -60,8 +61,9 @@ from kostantcheck.feff import (
     verify_transfer_memberships,
 )
 from kostantcheck.gla import elementary, graded_sl, smat_bracket, smat_sub, smat_trace_pair
-from kostantcheck.kostant import (ChainModule, Cochain, block_structure, blocked_coords,
-                                  chain_tuples, cochain_from_block, costar, hodge, partial)
+from kostantcheck.kostant import (ChainModule, Cochain, block_product, block_structure,
+                                  blocked_coords, chain_tuples, cochain_from_block, costar,
+                                  hodge, operator_block, partial)
 from kostantcheck.ratlin import Subspace, kernel_basis, solve, zero_vector
 
 F = Fraction
@@ -183,6 +185,103 @@ class TestNamedModules:
 
     def test_e2_inside_e(self) -> None:
         assert module_E2(3).is_contained_in(module_E(3))
+
+
+def spanning_route(monkeypatch, builder, *args) -> ChainModule:
+    """``builder(*args)`` uncached, with every tensor module (every
+    ``from_labels`` module included) eliminated from its spanning cochains
+    Z_T ⊗ b, one per row b of each factor B_T."""
+    def by_elimination(cls, name, alg, deg, parts):
+        return cls.from_cochains(name, alg, deg, [Cochain(alg, deg, {T: alg.from_coords(row)})
+                                                  for T, space in parts for row in space.rows])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ChainModule, "from_tensor", classmethod(by_elimination))
+        return builder.__wrapped__(*args) if hasattr(builder, "__wrapped__") else builder(*args)
+
+
+def norm_ambients(n: int) -> tuple:
+    """The two ambient modules of the condition sets in ``norm-modules``."""
+    gt = graded_sl((2, n + 1))
+    return (ChainModule.from_labels(
+                "p̃_+⊗n1F", gt, 1, [((j,), v) for j in range(gt.dim_neg)
+                                   for v in feff._n1f_value_indices(gt)]),
+            ChainModule.from_tensor("Λ²p̃_+⊗[g̃,n1F]", gt, 2,
+                                    [(T, bracket_n1F_space(n)) for T in chain_tuples(gt, 2)]))
+
+
+class TestTensorModules:
+    """Echelon bases by construction against one elimination of the spanning
+    cochains, block by block."""
+
+    @staticmethod
+    def assert_same_rows(got: ChainModule, want: ChainModule) -> None:
+        assert got.spaces.keys() == want.spaces.keys() and got.dim > 0
+        for w, space in want.spaces.items():
+            assert (got.spaces[w].int_rows, got.spaces[w].pivots) == (
+                space.int_rows, space.pivots), (got.name, w)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_grassmannian_modules(self, n, monkeypatch) -> None:
+        for builder in (module_F, module_E, module_E2):
+            self.assert_same_rows(builder(n), spanning_route(monkeypatch, builder, n))
+        for got, want in zip(norm_ambients(n), spanning_route(monkeypatch, norm_ambients, n)):
+            self.assert_same_rows(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_path_modules(self, n, monkeypatch) -> None:
+        for builder, args in [(module_F_path, (n,)), (module_E_path, (n,)),
+                              (feff.module_no_vv_path, (n,)), (feff.module_rho_path, (n,)),
+                              (feff.module_rho_path, (n, True)),
+                              (module_constrained_path, (n,))]:
+            self.assert_same_rows(builder(*args), spanning_route(monkeypatch, builder, *args))
+
+    def test_rejects_mixed_weights_and_repeated_tuples(self) -> None:
+        gt = graded_sl((2, 4))
+        ends = [gt.index_of_position[(0, 3)], gt.index_of_position[(0, 4)]]
+        mixed = Subspace(gt.dim, [[int(i in ends) for i in range(gt.dim)]])
+        with pytest.raises(ValueError, match="mixes weights"):
+            ChainModule.from_tensor("mixed", gt, 1, [((0,), mixed)])
+        single = feff.coordinate_subspace(gt, ends[:1])
+        with pytest.raises(ValueError, match="repeated"):
+            ChainModule.from_tensor("twice", gt, 1, [((0,), single), ((1,), single),
+                                                     ((0,), single)])
+        with pytest.raises(ValueError, match="subspace of g"):
+            ChainModule.from_tensor("short", gt, 1, [((0,), Subspace(gt.dim - 1))])
+
+
+class TestNormModuleImages:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_block_images_match_the_cochain_operators(self, n) -> None:
+        """∂, ∂* and ∂*∂ read from operator blocks, against blocked_coords of
+        partial, costar and costar∘partial on every basis element of the
+        modules whose images ``norm-modules`` checks."""
+        gt = graded_sl((2, n + 1))
+        here, above = block_structure(gt.blocks, 1), block_structure(gt.blocks, 2)
+
+        def up(w):
+            return operator_block(here, above, w)
+
+        def down(w):
+            return operator_block(above, here, w)
+
+        def box(w):
+            return block_product(down(w), up(w), here.block_dim(w))
+
+        e_mod, f_mod = module_E(n), module_F(n)
+        m1 = hodge(gt.blocks, 1).im_costar.intersect(e_mod)
+        m2 = hodge(gt.blocks, 2).im_partial.intersect(f_mod)
+        for module, block, op in [(e_mod, up, partial), (f_mod, down, costar),
+                                  (module_E2(n), box, lambda c: costar(partial(c))),
+                                  (m1, up, partial), (m2, down, costar)]:
+            images = module_images(module, block)
+            rows = [(w, row) for w in sorted(module.spaces)
+                    for row in module.spaces[w].int_rows]
+            assert len(images) == len(rows) == module.dim > 0
+            for (w, img), (w_row, row) in zip(images, rows):
+                want = blocked_coords(op(cochain_from_block(gt, module.deg, w_row, row)))
+                assert w == w_row and set(want) <= {w}
+                assert img == want.get(w, [0] * len(img))
 
 
 def dense_constrained_module(module, name, residual):
@@ -631,7 +730,7 @@ class TestNormalizeStep:
         kernel = hodge((2, n), 2).ker_costar.basis_cochains()
         psis += [(costar(transfer(combine(kernel, rng), maps)), 1) for _ in range(3)]
         for psi, level in psis:
-            got = normalize_step(psi, level, maps)
+            got = normalize_step(psi, level)
             want = reference_normalize_step(psi, level)
             assert got is not INFEASIBLE and want is not INFEASIBLE
             assert cochain_to_doc(got) == cochain_to_doc(want)
@@ -665,7 +764,7 @@ class TestNormalizeStep:
         rng = random.Random(33)
         for _ in range(3):
             psi = costar(transfer(combine(basis, rng), maps))
-            phi = normalize_step(psi, 1, maps)
+            phi = normalize_step(psi, 1)
             assert phi is not INFEASIBLE
             assert costar(partial(phi)).add(psi).is_zero()
 

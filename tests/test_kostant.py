@@ -478,6 +478,25 @@ class TestBlocksAndModules:
         assert rebuilt.same_space(mod)
         assert mod.is_contained_in(rebuilt)
 
+    def test_cochain_from_block_keeps_integral_values_int(self) -> None:
+        """Integral coordinates, int or Fraction, are stored as int; the
+        cochain equals the one built with every coordinate a Fraction."""
+        alg = graded_sl((2, 3))
+        structure = block_structure(alg.blocks, 2)
+        w = max(structure.labels, key=structure.block_dim)
+        size = structure.block_dim(w)
+        for pattern, integral in [((F(3), 2, 0, F(-4, 2), -1), True),
+                                  ((F(1, 2), 2, 0, F(-3), F(5, 3)), False)]:
+            vec = [pattern[i % len(pattern)] for i in range(size)]
+            got = cochain_from_block(alg, 2, w, vec)
+            want = Cochain(alg, 2)
+            for cf, (T, v) in zip(vec, structure.labels[w]):
+                want.add_term(T, alg.basis_mat(v), F(cf))
+            assert got == want and not got.is_zero()
+            values = [x for u in got.data.values() for x in u.values()]
+            assert all(type(x) is int for x in values) == integral
+            assert blocked_coords(got) == {w: vec}
+
     def test_chain_module_lattice(self) -> None:
         alg = graded_sl((1, 1, 2))
         u = ChainModule.from_labels("u", alg, 2, [((0, 1), 0), ((0, 1), 1)])

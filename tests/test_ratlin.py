@@ -563,3 +563,29 @@ class TestIntegerSubspace:
             for vec in members + others:
                 assert space.contains(vec) == (not any(space.reduce(vec)))
             assert all(space.contains(vec) for vec in members)
+
+
+class TestEchelonConstructor:
+    def test_accepts_the_canonical_rows_of_an_elimination(self) -> None:
+        rng = random.Random(101)
+        for _ in range(80):
+            ambient = rng.randint(1, 7)
+            space = Subspace(ambient, spanning_vectors(rng, ambient))
+            rebuilt = Subspace.echelon(ambient, space.int_rows)
+            assert_canonical(rebuilt)
+            assert rebuilt == space and rebuilt.pivots == space.pivots
+        assert Subspace.echelon(3, []) == Subspace(3)
+
+    @pytest.mark.parametrize("rows,match", [
+        ([[2, 0, 4]], "not primitive"),
+        ([[0, -1, 3]], "positive pivot"),
+        ([[0, 0, 0]], "positive pivot"),
+        ([[1, 2, 0], [0, 1, 1]], "not reduced"),
+        ([[0, 1, 0], [1, 0, 0]], "pivots must increase"),
+        ([[1, 0, 0], [1, 0, 0]], "pivots must increase"),
+        ([[1, 0]], "ambient length"),
+        ([[F(1), 0, 0]], "ambient length"),
+    ])
+    def test_rejects_rows_that_are_not_canonical(self, rows, match) -> None:
+        with pytest.raises(ValueError, match=match):
+            Subspace.echelon(3, rows)
