@@ -36,7 +36,7 @@ from typing import Callable, Hashable, Iterator, Sequence
 
 from . import penrose
 from .gla import (GradedSL, SparseMat, Weight, elementary, graded_sl,
-                  smat_add_into, smat_bracket, smat_sub, smat_trace)
+                  smat_add_into, smat_bracket, smat_scale, smat_sub, smat_trace)
 from .kostant import (ChainModule, Cochain, apply_insertion, block_product,
                       block_structure, blocked_coords, chain_tuples,
                       cochain_from_block, coordinate_subspace, costar, hodge,
@@ -119,21 +119,13 @@ def _eval1(c: Cochain, cls: Sequence[Fraction]) -> SparseMat:
     return out
 
 
-def _eval2(c: Cochain, c1: Sequence[Fraction], c2: Sequence[Fraction]) -> SparseMat:
-    """Evaluate a degree-2 cochain on two quotient class vectors."""
-    out: SparseMat = {}
-    for (s, t), u in c.data.items():
-        cf = c1[s] * c2[t] - c1[t] * c2[s]
-        if cf:
-            smat_add_into(out, u, cf)
-    return out
-
-
 def _wedge_table(c1: Sequence[Fraction], c2: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:
-    """The nonzero coefficients c1[s]·c2[t] − c1[t]·c2[s] of :func:`_eval2`, s < t.
+    """c1∧c2 for two class vectors: the nonzero c1[s]·c2[t] − c1[t]·c2[s] by
+    pair s < t, so that φ(c1, c2) = Σ table[(s, t)]·φ(X^s, X^t).
 
     Only pairs of the two supports contribute: c1[i]·c2[j] lands on (i, j)
-    when i < j and on (j, i) with the opposite sign when i > j.
+    when i < j and on (j, i) with the opposite sign when i > j.  Reference:
+    the formula over every pair, in ``tests/test_feff.py``.
     """
     support2 = [(j, v) for j, v in enumerate(c2) if v]
     out: dict[tuple[int, int], Fraction] = {}
@@ -145,7 +137,9 @@ def _wedge_table(c1: Sequence[Fraction], c2: Sequence[Fraction]) -> dict[tuple[i
 
 
 def _eval2_table(c: Cochain, table: dict[tuple[int, int], Fraction]) -> SparseMat:
-    """:func:`_eval2` with its coefficients read from a :func:`_wedge_table`."""
+    """φ = ``c`` on two classes, given their :func:`_wedge_table` (or a sum of
+    such tables): Σ table[(s, t)]·φ(X^s, X^t) over the stored pairs of φ.
+    Reference: φ evaluated on the class vectors, in ``tests/test_feff.py``."""
     out: SparseMat = {}
     for st, u in c.data.items():
         cf = table.get(st)
@@ -299,19 +293,6 @@ class EmbeddingMaps:
                 if a != 2 and b != 2}
 
     # -- quotient maps -----------------------------------------------------
-
-    def pi_class(self, cls: Sequence[Fraction]) -> list[Fraction]:
-        out = zero_vector(self.g.dim_neg)
-        for j, cf in enumerate(cls):
-            if cf:
-                col = self.pi_cols[j]
-                for s in range(self.g.dim_neg):
-                    if col[s]:
-                        out[s] += cf * col[s]
-        return out
-
-    def pi_of(self, xt: SparseMat) -> list[Fraction]:
-        return self.pi_class(self.gt.class_mod_p(xt))
 
     def pi_star(self, z: SparseMat) -> SparseMat:
         out: SparseMat = {}
@@ -560,10 +541,10 @@ def _constrained_module(module: ChainModule, name: str,
 def transfer(kappa: Cochain, maps: EmbeddingMaps) -> Cochain:
     """κ̃(X̃, Ỹ) = i′(κ(π X̃, π Ỹ)) as a degree-2 cochain over the target.
 
-    κ∘Λ²π is read through the maps' Λ²π tables (``maps.wedge_tables``, one
-    :func:`_wedge_table` per target pair with a nonzero image) by
-    :func:`_eval2_table`; :func:`_eval2` on the π columns is the dense
-    reference it must agree with.
+    The value on a target pair (j, k) is κ(π X̃^j, π X̃^k), read by
+    :func:`_eval2_table` from ``maps.wedge_tables``: the wedge tables of the
+    π columns, for the pairs with a nonzero image.  Reference: κ evaluated on
+    every pair of π columns, in ``tests/test_feff.py``.
     """
     if kappa.alg.blocks != maps.g.blocks or kappa.deg != 2:
         raise ValueError("cochain does not match the maps' source grading")
@@ -578,6 +559,18 @@ def transfer(kappa: Cochain, maps: EmbeddingMaps) -> Cochain:
 # ---------------------------------------------------------------------------
 # Verification sweeps
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _defect_tables(maps: EmbeddingMaps) -> list[tuple[int, list[tuple[dict, tuple[int, int]]]]]:
+    """(j, [(π(X̃^j)∧X^{(b,1)} as a :func:`_wedge_table`, (2, b + 1)), …]) for
+    each target direction j, over the V directions X^{(b,1)} of the source;
+    empty tables are dropped.  Built once per maps object."""
+    g = maps.g
+    v_neg = [(s, pos[0]) for s, pos in enumerate(g.neg_positions) if pos[1] == 1]
+    return [(j, [(table, (2, b + 1)) for s, b in v_neg
+                 if (table := _wedge_table(col, _unit(g.dim_neg, s)))])
+            for j, col in enumerate(maps.pi_cols)]
 
 
 def normality_defect(phi: Cochain, maps: EmbeddingMaps) -> Cochain:
@@ -596,19 +589,18 @@ def normality_defect(phi: Cochain, maps: EmbeddingMaps) -> Cochain:
     sum is identically zero.  The defect vanishes on all of 𝔽 because there
     every value paired with a q_{-1}^V direction lies in A, whose matrices
     have zero (1,1) entry.
+
+    Each φ(π(X̃^j), X^{(b,1)}) is read by :func:`_eval2_table` from a table
+    of :func:`_defect_tables`.  Reference: φ evaluated on the π column and
+    the unit class, in ``tests/test_feff.py``.
     """
-    g, gt = maps.g, maps.gt
-    units = [_unit(g.dim_neg, i) for i in range(g.dim_neg)]
-    v_neg = [(j, g.neg_positions[j][0]) for j in range(g.dim_neg)
-             if g.neg_positions[j][1] == 1]
-    out = Cochain(gt, 1)
-    for j in range(gt.dim_neg):
+    out = Cochain(maps.gt, 1)
+    for j, tables in _defect_tables(maps):
         mat: SparseMat = {}
-        for vi, b in v_neg:
-            val = _eval2(phi, maps.pi_cols[j], units[vi])
-            cf = val.get((1, 1), Fraction(0))
+        for table, pos in tables:
+            cf = _eval2_table(phi, table).get((1, 1))
             if cf:
-                smat_add_into(mat, {(2, b + 1): cf}, -1)
+                smat_add_into(mat, {pos: cf}, -1)
         if mat:
             out.add_term((j,), mat)
     return out
@@ -669,6 +661,20 @@ def verify_path_normality(n: int, rng: object = None, trials: int = 0) -> Report
     })
 
 
+def _second_sum_table(g: GradedSL, cls: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:
+    """The second sum X ↦ −Σ_i φ([Z_i, X̃] mod p, X^i) as one table for
+    :func:`_eval2_table`, X̃ the lift of ``cls``: Σ_i −[Z_i, X̃]∧X^i over the
+    :func:`_wedge_table` of each term.  Reference: the sum evaluated term by
+    term, in ``tests/test_feff.py``."""
+    lift = g.lift_from_class(cls)
+    out: dict[tuple[int, int], Fraction] = {}
+    for i in range(g.dim_neg):
+        bcls = g.class_mod_p(smat_bracket(g.z_mat(i), lift))
+        if any(bcls):
+            smat_add_into(out, _wedge_table(bcls, _unit(g.dim_neg, i)), -1)
+    return out
+
+
 def verify_beta_and_second_sum(n: int, rng: object = None, trials: int = 0) -> Report:
     """β([π*(Z), i′(W)]) = [Z, W] for all basis pairs, and the second-sum
     evaluation −Σ_i φ([Z_i, X], X^i): zero for X of degree ≥ −1 and equal to
@@ -692,38 +698,22 @@ def verify_beta_and_second_sum(n: int, rng: object = None, trials: int = 0) -> R
     units = [_unit(g.dim_neg, i) for i in range(g.dim_neg)]
     deg1 = [i for i, (r, c) in enumerate(g.neg_positions)
             if g.degree_of_position(r, c) == -1]
-    types = _path_neg_types(n)
-    v_idx = [i for i, t in enumerate(types) if t == "V"]
-
-    def bracket_classes(cls: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
-        """(class of [Z_i, X̃] mod p, i) for each nonzero class, X̃ the lift of
-        cls; they depend only on X, so they are built once per X."""
-        lift = g.lift_from_class(cls)
-        brackets = ((g.class_mod_p(smat_bracket(g.z_mat(i), lift)), i) for i in range(g.dim_neg))
-        return [(bcls, i) for bcls, i in brackets if any(bcls)]
-
-    def second_sum(phi: Cochain, classes: list[tuple[list[Fraction], int]]) -> SparseMat:
-        acc: SparseMat = {}
-        for bcls, i in classes:
-            smat_add_into(acc, _eval2(phi, bcls, units[i]), -1)
-        return acc
-
-    deg1_classes = [(i, bracket_classes(units[i])) for i in deg1]
-    ev_classes = [(iv, bracket_classes(g.class_mod_p(smat_bracket(g.x_mat(e_idx),
-                                                                  g.x_mat(iv)))))
-                  for iv in v_idx]
+    v_idx = [i for i, t in enumerate(_path_neg_types(n)) if t == "V"]
+    deg1_tables = [(i, _second_sum_table(g, units[i])) for i in deg1]
+    # [X_E, X_V] with its second-sum table and the table of 2·φ(X_E, X_V).
+    ev_tables = [(iv, _second_sum_table(g, g.class_mod_p(smat_bracket(g.x_mat(e_idx),
+                                                                      g.x_mat(iv)))),
+                  smat_scale(_wedge_table(units[e_idx], units[iv]), 2))
+                 for iv in v_idx]
     for T in chain_tuples(g, 2):
         for v in range(g.dim):
             phi = Cochain(g, 2, {T: g.basis_mat(v)})
-            for i, classes in deg1_classes:
-                chk.check(not second_sum(phi, classes),
+            for i, table in deg1_tables:
+                chk.check(not _eval2_table(phi, table),
                           f"second sum nonzero on degree -1 direction {i}, "
                           f"phi=({T},{v})")
-            for iv, classes in ev_classes:
-                got = second_sum(phi, classes)
-                want = _eval2(phi, units[e_idx], units[iv])
-                want = {p: 2 * c for p, c in want.items()}
-                chk.check(not smat_sub(got, want),
+            for iv, table, want in ev_tables:
+                chk.check(not smat_sub(_eval2_table(phi, table), _eval2_table(phi, want)),
                           f"second sum mismatch for [X_E, X_V], V={iv}, "
                           f"phi=({T},{v})")
     return chk.report(n)

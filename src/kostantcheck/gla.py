@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ratlin import frac
 
@@ -108,10 +108,6 @@ def smat_trace_pair(x: SparseMat, y: SparseMat) -> Fraction:
 
 def smat_trace(x: SparseMat) -> Fraction:
     return sum((v for (a, b), v in x.items() if a == b), Fraction(0))
-
-
-def smat_from_dense(mat: Sequence[Sequence]) -> SparseMat:
-    return {(i, j): frac(v) for i, row in enumerate(mat) for j, v in enumerate(row) if v}
 
 
 def smat_to_dense(x: SparseMat, m: int) -> list[list[Fraction]]:
@@ -256,14 +252,6 @@ class GradedSL:
             if c:
                 out[self.neg_positions[i]] = frac(c)
         return out
-
-    # --- weights (for block-diagonalizing all linear algebra) -------------
-
-    def weight_of_position(self, a: int, b: int) -> Weight:
-        w = [0] * self.m
-        w[a] += 1
-        w[b] -= 1
-        return tuple(w)
 
     # --- brackets -----------------------------------------------------------
 

@@ -105,17 +105,6 @@ class Cochain:
         if not target:
             del self.data[T]
 
-    def value(self, indices: Sequence[int]) -> SparseMat:
-        """φ(X^{i_1},…,X^{i_k}) for an arbitrary (possibly unsorted) tuple."""
-        normalized = _sort_with_sign(tuple(indices))
-        if normalized is None:
-            return {}
-        T, sign = normalized
-        stored = self.data.get(T)
-        if not stored:
-            return {}
-        return dict(stored) if sign == 1 else smat_scale(stored, -1)
-
     def add_into(self, other: "Cochain", coeff=1) -> "Cochain":
         """In place: self += coeff·other; returns self.
 
@@ -373,12 +362,6 @@ def apply_insertion(table: InsertionTable, psi: Cochain) -> Cochain:
         for w in sorted(accs):
             out.add_term((a, b, w), accs[w])
     return out
-
-
-def insertion(phi: Cochain, psi: Cochain) -> Cochain:
-    """Cyclic insertion (ι_φψ)(X,Y,Z) = ψ(φ(X,Y) mod p, Z) + cyclic:
-    :func:`apply_insertion` of φ's :func:`insertion_table` to ψ."""
-    return apply_insertion(insertion_table(phi), psi)
 
 
 def index_positions(cochains: Sequence[Cochain]) -> dict[int, list[int]]:

@@ -21,10 +21,7 @@ contractions tr(W), tr(W'), tr(i_τ τ), the four-fold symmetry split of
 (0,2)-type tensors, the exact linear algebra relating the Rho tensor to
 the Ricci contraction (eigenvalues n, n+4, n+2, n+2 on the four symmetry
 types), and the expansion of the Weyl blocks from curvatures and the Rho
-tensor.  The six trace identities relating tr(W), tr(W') and tr(i_τ τ)
-are shipped as a residual CHECKER (they mix terms linear and quadratic in
-the curvature, so they are meaningful only on inputs coming from an
-actual curvature, not pointwise on arbitrary tensors).
+tensor.
 """
 
 from __future__ import annotations
@@ -80,9 +77,6 @@ class EFTensor:
             if not 0 <= i < self.slot_dim(k):
                 raise ValueError(f"index {i} out of range in slot {k}")
         smat_add_into(self.data, {idx: value})
-
-    def get(self, idx: Sequence[int]) -> Fraction:
-        return self.data.get(tuple(idx), Fraction(0))
 
     def scale(self, coeff) -> "EFTensor":
         coeff = frac(coeff)
@@ -251,11 +245,6 @@ def tr_itau_tau_bilinear(tau1: EFTensor, tau2: EFTensor) -> EFTensor:
     return out
 
 
-def tr_itau_tau(tau: EFTensor) -> EFTensor:
-    """tr(i_τ τ)^A_{A'}{}^B_{B'} = τ^I_{I'}{}^A_{A'}{}^{J'}_J τ^J_{J'}{}^B_{B'}{}^{I'}_I."""
-    return tr_itau_tau_bilinear(tau, tau)
-
-
 @dataclass(frozen=True)
 class SymSplit:
     """The four symmetry components of a (0,2)-type tensor T^A_{A'}{}^B_{B'}:
@@ -342,34 +331,6 @@ def rho_cochain(p: EFTensor, alg: GradedSL) -> Cochain:
     for (a, ap, c, bp), v in p.data.items():
         out.add_term((alg.index_of_neg[(ap + 2, a)],), {(c, bp + 2): frac(v)})
     return out
-
-
-def weyl_identity_residuals(w: EFTensor, wp: EFTensor, tau: EFTensor,
-                            n: int) -> dict[str, EFTensor]:
-    """Residuals of the six trace identities linking tr(W), tr(W'), tr(i_τ τ):
-
-        tr(W) = tr(W'),
-        tr(i_τ τ)_(sym,sym)  = n     · tr(W)_(sym,sym),
-        tr(i_τ τ)_[skew,skew] = (n+4) · tr(W)_[skew,skew],
-        tr(i_τ τ)_(sym,skew) = tr(W)_(sym,skew) = 0,
-        tr(i_τ τ)_[skew,sym] = tr(W)_[skew,sym] = 0.
-
-    This is a residual checker: all-zero output means the identities hold
-    for the supplied blocks; no claim is made for arbitrary inputs.
-    """
-    trw = tr_W(w)
-    tritt = tr_itau_tau(tau)
-    s_w = sym_split(trw)
-    s_t = sym_split(tritt)
-    return {
-        "trW_minus_trWp": trw.sub(tr_Wp(wp)),
-        "sym_sym": s_t.sym_sym.sub(s_w.sym_sym.scale(n)),
-        "skew_skew": s_t.skew_skew.sub(s_w.skew_skew.scale(n + 4)),
-        "sym_skew_itau": s_t.sym_skew,
-        "sym_skew_trW": s_w.sym_skew,
-        "skew_sym_itau": s_t.skew_sym,
-        "skew_sym_trW": s_w.skew_sym,
-    }
 
 
 # ---------------------------------------------------------------------------

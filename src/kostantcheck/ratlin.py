@@ -121,10 +121,6 @@ def rref(mat: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, int]:
     return out, len(pivot_cols)
 
 
-def rank(mat: Sequence[Sequence[Fraction]]) -> int:
-    return rref(mat)[1]
-
-
 def kernel_basis(mat: Sequence[Sequence[Fraction]]) -> list[Vector]:
     """Basis form of the right null space {x : mat·x = 0}.
 
@@ -258,19 +254,6 @@ class Subspace:
             self._rows = [[Fraction(x, row[pc]) if x else zero for x in row]
                           for row, pc in zip(self.int_rows, self.pivots)]
         return self._rows
-
-    def reduce(self, vec: Sequence[Fraction]) -> Vector:
-        """Residual of ``vec`` after eliminating all basis pivots."""
-        if len(vec) != self.ambient:
-            raise ValueError("vector has wrong ambient dimension")
-        out = [frac(x) for x in vec]
-        for row, pc in zip(self.rows, self.pivots):
-            f = out[pc]
-            if f:
-                for j in range(pc, self.ambient):
-                    if row[j]:
-                        out[j] -= f * row[j]
-        return out
 
     def _combine(self, coeffs: Sequence[int], out: list[int]) -> list[int]:
         """den·out + Σ coeffs[i]·(den/p_i)·int_rows[i], where p_i is the pivot

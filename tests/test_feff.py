@@ -33,8 +33,8 @@ from kostantcheck.feff import (
     INFEASIBLE,
     SOURCES,
     _constrained_module,
-    _eval2,
     _eval2_table,
+    _second_sum_table,
     _wedge_table,
     EmbeddingMaps,
     MapConstructionError,
@@ -60,13 +60,35 @@ from kostantcheck.feff import (
     verify_torsion_transfer,
     verify_transfer_memberships,
 )
-from kostantcheck.gla import elementary, graded_sl, smat_bracket, smat_sub, smat_trace_pair
+from kostantcheck.gla import (elementary, graded_sl, smat_add_into, smat_bracket, smat_sub,
+                              smat_trace_pair)
 from kostantcheck.kostant import (ChainModule, Cochain, block_product, block_structure,
                                   blocked_coords, chain_tuples, cochain_from_block, costar,
                                   hodge, operator_block, partial)
 from kostantcheck.ratlin import Subspace, kernel_basis, solve, zero_vector
 
 F = Fraction
+
+
+def _eval2(c: Cochain, c1, c2) -> dict:
+    """Dense reference evaluation of a degree-2 cochain on two quotient class
+    vectors: Σ_{s<t} (c1[s]·c2[t] − c1[t]·c2[s])·φ(X^s, X^t)."""
+    out: dict = {}
+    for (s, t), u in c.data.items():
+        cf = c1[s] * c2[t] - c1[t] * c2[s]
+        if cf:
+            smat_add_into(out, u, cf)
+    return out
+
+
+def pi_of(maps: EmbeddingMaps, xt: dict) -> list[Fraction]:
+    """π of the class of X̃ mod p̃: Σ_j class_j · (π column j)."""
+    out = zero_vector(maps.g.dim_neg)
+    for j, cf in enumerate(maps.gt.class_mod_p(xt)):
+        if cf:
+            for s, v in enumerate(maps.pi_cols[j]):
+                out[s] += cf * v
+    return out
 
 
 def combine(basis, rng: random.Random, picks: int = 5) -> Cochain:
@@ -113,14 +135,14 @@ class TestEmbeddingMaps:
         maps = build_maps(n, source)
         for i in range(maps.g.dim):
             x = maps.g.basis_mat(i)
-            assert maps.pi_of(maps.i_prime(x)) == maps.g.class_mod_p(x)
+            assert pi_of(maps, maps.i_prime(x)) == maps.g.class_mod_p(x)
 
     def test_pi_kernel_directions(self) -> None:
         path = build_maps(2, "path")
-        assert not any(path.pi_of(elementary(2, 1)))
+        assert not any(pi_of(path, elementary(2, 1)))
         ag = build_maps(3, "ag")
-        assert not any(ag.pi_of(elementary(2, 0)))
-        assert not any(ag.pi_of(elementary(2, 1)))
+        assert not any(pi_of(ag, elementary(2, 0)))
+        assert not any(pi_of(ag, elementary(2, 1)))
 
     @pytest.mark.parametrize("n,source", [(2, "path"), (3, "path"), (3, "ag")])
     def test_pi_star_is_the_entry_shift(self, n: int, source: str) -> None:
@@ -137,7 +159,7 @@ class TestEmbeddingMaps:
         g, gt = maps.g, maps.gt
         for j in range(gt.dim_neg):
             xt = elementary(*gt.neg_positions[j])
-            cls = maps.pi_of(xt)
+            cls = pi_of(maps, xt)
             for (a, b) in g.pos_positions:
                 z = elementary(a, b)
                 rhs = sum((cls[s] * smat_trace_pair(z, elementary(*g.neg_positions[s]))
@@ -559,6 +581,29 @@ class TestNormalityDefect:
                 if not normality_defect(c, maps).is_zero()]
         assert hits
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_defect_matches_the_dense_evaluation(self, n: int) -> None:
+        """The wedge-table defect against −Σ_{b≥2} φ(π(X̃^j), X^{(b,1)})_11 Ẽ_{2,b+1}
+        with φ evaluated densely, on every basis cochain of the constrained
+        module."""
+        maps = build_maps(n, "path")
+        g, gt = maps.g, maps.gt
+        v_neg = [(s, pos[0]) for s, pos in enumerate(g.neg_positions) if pos[1] == 1]
+        nonzero = 0
+        for phi in module_constrained_path(n).basis_cochains():
+            want = Cochain(gt, 1)
+            for j in range(gt.dim_neg):
+                for s, b in v_neg:
+                    unit = zero_vector(g.dim_neg)
+                    unit[s] = F(1)
+                    cf = _eval2(phi, maps.pi_cols[j], unit).get((1, 1))
+                    if cf:
+                        want.add_term((j,), {(2, b + 1): cf}, -1)
+            got = normality_defect(phi, maps)
+            assert got == want
+            nonzero += not got.is_zero()
+        assert nonzero > 0
+
 
 class TestVerificationSweeps:
     @pytest.mark.parametrize("n,cases,details", [
@@ -577,6 +622,33 @@ class TestVerificationSweeps:
     def test_beta_and_second_sum(self, n, cases) -> None:
         rep = verify_beta_and_second_sum(n)
         assert rep.ok and rep.cases == cases
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_second_sum_tables_match_the_dense_sum(self, n: int) -> None:
+        """The second-sum table of every unit class and of every [X_E, X_V]
+        against Σ_i −φ([Z_i, X̃] mod p, X^i) evaluated densely, on every basis
+        cochain Z_T ⊗ basis_v of the sweep."""
+        g = graded_sl((1, 1, n))
+        units = [[F(int(i == s)) for i in range(g.dim_neg)] for s in range(g.dim_neg)]
+        e_idx = g.index_of_neg[(1, 0)]
+        classes = units + [g.class_mod_p(smat_bracket(g.x_mat(e_idx),
+                                                      g.x_mat(g.index_of_neg[(a, 1)])))
+                           for a in range(2, g.m)]
+        nonzero = 0
+        for cls in classes:
+            table = _second_sum_table(g, cls)
+            lift = g.lift_from_class(cls)
+            terms = [(g.class_mod_p(smat_bracket(g.z_mat(i), lift)), units[i])
+                     for i in range(g.dim_neg)]
+            for T in chain_tuples(g, 2):
+                for v in range(g.dim):
+                    phi = Cochain(g, 2, {T: g.basis_mat(v)})
+                    want: dict = {}
+                    for bcls, unit in terms:
+                        smat_add_into(want, _eval2(phi, bcls, unit), -1)
+                    assert _eval2_table(phi, table) == want
+                    nonzero += bool(want)
+        assert nonzero > 0
 
     def test_lemma_path_frozen(self) -> None:
         rep = verify_lemma_path(2)
