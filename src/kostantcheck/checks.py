@@ -198,9 +198,10 @@ def check_normalize_step(n: int, rng: random.Random, trials: int) -> Report:
     """normalize_step on constructed preimages at both filtration levels and
     on codifferentials of transferred ker∂* samples: each ψ lies in its
     level, is feasible, and costar(partial(φ)) + ψ is exactly zero.  That
-    residual goes through the cochain operators, so it cross-checks the
-    operator-block solve.  A ψ outside its level fails the trial, whose
-    solve is skipped."""
+    residual cross-checks the block solve and ``block_product``; it shares
+    the exterior table with the blocks, whose signs codiff-lift and the
+    tier-1 reference operators check.  A ψ outside its level fails the
+    trial, whose solve is skipped."""
     maps = build_maps(n, "ag")
     e_mod, e2_mod = module_E(n), module_E2(n)
     chk = _Checker()

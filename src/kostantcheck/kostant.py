@@ -29,16 +29,16 @@ operators below are written on that representation:
 Both operators commute with the torus of diagonal matrices, so every
 linear-algebra question is solved block-per-weight; chain spaces of a few
 thousand dimensions then decompose into blocks of at most a few dozen.
-``operator_block`` reads those blocks from the algebra's bracket tables and
-a per-tuple table of the exterior part, and ``block_product`` multiplies
-them.  The Hodge decomposition, the module maps of ``norm-modules`` and the
-∂*∂ solve of ``feff.normalize_step`` read blocks; every other check, and the
-residual of that solve, applies ``partial`` and ``costar`` to cochains.  The
-tier-1 tests pin each to the other: ``test_kostant.py``'s
-``test_operator_block_columns_match_blocked_coords`` (every column),
-``test_costar_partial_block_matches_the_cochain_operators`` and
-``test_assembled_box_matches_the_laplacian_oracle``, and ``test_feff.py``'s
-``test_block_images_match_the_cochain_operators``.
+One table of terms, ``_exterior_table``, defines both operators: the tuple
+and sign of every term on each Z_T.  ``partial`` and ``costar`` apply it to
+cochains, and ``operator_block`` reads it, with the algebra's bracket
+tables, into the weight blocks that ``block_product`` multiplies.  The
+Hodge decomposition, the module maps of ``norm-modules`` and the ∂*∂ solve
+of ``feff.normalize_step`` read blocks; every other check applies the
+cochain operators.  The signs are pinned by an independent term-by-term
+reference, ``reference_partial`` and ``reference_costar`` in
+``test_kostant.py``, against which the tier-1 tests compare the cochain
+operators and every block column.
 """
 
 from __future__ import annotations
@@ -156,62 +156,34 @@ def basis_cochain(alg: GradedSL, deg: int, indices: tuple[int, ...], v_idx: int)
 
 def partial(c: Cochain) -> Cochain:
     """The homology differential ∂: degree k → k+1."""
-    alg = c.alg
-    out = Cochain(alg, c.deg + 1)
-    neg_pairs = alg.neg_pair_coords
-    for S, u in c.data.items():
-        in_S = set(S)
-        # first sum: insert a new argument and bracket it onto the value
-        for x in range(alg.dim_neg):
-            if x in in_S:
-                continue
-            pos = sum(1 for s in S if s < x)
-            out.add_term(tuple(sorted(S + (x,))),
-                         smat_bracket(alg.x_mat(x), u),
-                         -1 if pos % 2 else 1)
-        # second sum: un-bracket one stored argument into a pair
-        for q, s in enumerate(S):
-            rest = S[:q] + S[q + 1:]
-            rest_set = set(rest)
-            for a, b, cf in neg_pairs.get(s, ()):
-                if a in rest_set or b in rest_set:
-                    continue
-                T = tuple(sorted(rest + (a, b)))
-                i, j = T.index(a), T.index(b)
-                sign = -1 if (i + j + q) % 2 else 1
-                out.add_term(T, u, sign * cf)
-    return out
+    return _apply_exterior(c, 1)
 
 
 def costar(c: Cochain) -> Cochain:
     """The Kostant codifferential ∂*: degree k → k−1 (wedge normalization)."""
     if c.deg < 1:
         raise ValueError("costar needs degree ≥ 1")
+    return _apply_exterior(c, -1)
+
+
+def _apply_exterior(c: Cochain, step: int) -> Cochain:
+    """∂ (``step`` 1) or ∂* (``step`` −1) of c from :func:`_exterior_table`:
+    each stored u at T adds, times the sign, to every S of T's row, bracketed
+    with X^x (∂) or Z_x (∂*) unless x is None; no tuple needs sorting."""
     alg = c.alg
-    out = Cochain(alg, c.deg - 1)
-    pos_pairs = alg.pos_pair_coords
+    mat_of = alg.x_mat if step == 1 else alg.z_mat
+    table = _exterior_table(alg.blocks, c.deg, step)
+    out = Cochain(alg, c.deg + step)
+    data = out.data
     for T, u in c.data.items():
-        for i, t in enumerate(T):
-            out.add_term(T[:i] + T[i + 1:],
-                         smat_bracket(alg.z_mat(t), u),
-                         -1 if i % 2 == 0 else 1)
-        for i in range(len(T)):
-            for j in range(i + 1, len(T)):
-                rest = T[:i] + T[i + 1:j] + T[j + 1:]
-                rest_set = set(rest)
-                for s, cf in pos_pairs.get((T[i], T[j]), ()):
-                    if s in rest_set:
-                        continue
-                    sign = -1 if (i + j) % 2 else 1
-                    out.add_term(tuple(sorted(rest + (s,))), u,
-                                 sign * cf * _insertion_sign(rest, s))
+        for x, S, sign in table[T]:
+            mat = u if x is None else smat_bracket(mat_of(x), u)
+            if mat:
+                target = data.setdefault(S, {})
+                smat_add_into(target, mat, sign)
+                if not target:
+                    del data[S]
     return out
-
-
-def _insertion_sign(rest: tuple[int, ...], s: int) -> int:
-    """Sign of moving s from the front of (s, rest) into sorted position."""
-    crossings = sum(1 for r in rest if r < s)
-    return -1 if crossings % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -640,10 +612,12 @@ def operator_block(structure_in: BlockStructure, structure_out: BlockStructure,
 
 @lru_cache(maxsize=None)
 def _exterior_table(blocks: tuple[int, ...], deg: int, step: int) -> dict[tuple[int, ...], list]:
-    """T ↦ the terms (x, S, c) of ∂ (``step`` 1) or ∂* (``step`` −1) on
-    Z_T ⊗ A for each degree-``deg`` tuple T, with the signs of :func:`partial`
-    and :func:`costar`: c times A bracketed with X^x (∂) or Z_x (∂*), or A
-    itself when x is None (the second sum), on the increasing tuple S."""
+    """The definition of ∂ (``step`` 1) and ∂* (``step`` −1) in the chain
+    representation: T ↦ the terms (x, S, c) of the operator on Z_T ⊗ A for
+    each degree-``deg`` tuple T, each c times A bracketed with X^x (∂) or
+    Z_x (∂*), or A itself when x is None (the second sum), on the increasing
+    tuple S.  Rows list the first sum, then the second, in the order of the
+    displayed formulas."""
     alg = graded_sl(blocks)
     table = {}
     for T in chain_tuples(alg, deg):

@@ -66,6 +66,7 @@ from kostantcheck.kostant import (ChainModule, Cochain, block_product, block_str
                                   blocked_coords, chain_tuples, cochain_from_block, costar,
                                   hodge, operator_block, partial)
 from kostantcheck.ratlin import Subspace, kernel_basis, solve, zero_vector
+from test_kostant import reference_costar, reference_partial
 
 F = Fraction
 
@@ -276,8 +277,8 @@ class TestNormModuleImages:
     @pytest.mark.parametrize("n", [3, 4])
     def test_block_images_match_the_cochain_operators(self, n) -> None:
         """∂, ∂* and ∂*∂ read from operator blocks, against blocked_coords of
-        partial, costar and costar∘partial on every basis element of the
-        modules whose images ``norm-modules`` checks."""
+        the reference ∂, ∂* and ∂*∘∂ of test_kostant.py on every basis
+        element of the modules whose images ``norm-modules`` checks."""
         gt = graded_sl((2, n + 1))
         here, above = block_structure(gt.blocks, 1), block_structure(gt.blocks, 2)
 
@@ -293,9 +294,10 @@ class TestNormModuleImages:
         e_mod, f_mod = module_E(n), module_F(n)
         m1 = hodge(gt.blocks, 1).im_costar.intersect(e_mod)
         m2 = hodge(gt.blocks, 2).im_partial.intersect(f_mod)
-        for module, block, op in [(e_mod, up, partial), (f_mod, down, costar),
-                                  (module_E2(n), box, lambda c: costar(partial(c))),
-                                  (m1, up, partial), (m2, down, costar)]:
+        for module, block, op in [(e_mod, up, reference_partial), (f_mod, down, reference_costar),
+                                  (module_E2(n), box,
+                                   lambda c: reference_costar(reference_partial(c))),
+                                  (m1, up, reference_partial), (m2, down, reference_costar)]:
             images = module_images(module, block)
             rows = [(w, row) for w in sorted(module.spaces)
                     for row in module.spaces[w].int_rows]

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import pytest
 
+from kostantcheck import kostant
+from kostantcheck.checks import run_check
 from kostantcheck.feff import module_E_path, module_F_path
 from kostantcheck.gla import elementary, graded_sl, smat_add_into, smat_bracket
 from kostantcheck.kostant import (
@@ -83,6 +85,77 @@ def dense_insertion(phi: Cochain, psi: Cochain) -> Cochain:
         if acc:
             out.add_term((x, y, z), acc)
     return out
+
+
+def reference_partial(c: Cochain) -> Cochain:
+    """Reference ∂, term by term from the displayed formula: each sign is
+    counted here and each term goes through ``add_term``; nothing is read
+    from the term table that ``partial`` applies."""
+    alg = c.alg
+    out = Cochain(alg, c.deg + 1)
+    neg_pairs = alg.neg_pair_coords
+    for S, u in c.data.items():
+        in_S = set(S)
+        # first sum: insert a new argument and bracket it onto the value
+        for x in range(alg.dim_neg):
+            if x in in_S:
+                continue
+            pos = sum(1 for s in S if s < x)
+            out.add_term(tuple(sorted(S + (x,))),
+                         smat_bracket(alg.x_mat(x), u),
+                         -1 if pos % 2 else 1)
+        # second sum: un-bracket one stored argument into a pair
+        for q, s in enumerate(S):
+            rest = S[:q] + S[q + 1:]
+            rest_set = set(rest)
+            for a, b, cf in neg_pairs.get(s, ()):
+                if a in rest_set or b in rest_set:
+                    continue
+                T = tuple(sorted(rest + (a, b)))
+                i, j = T.index(a), T.index(b)
+                sign = -1 if (i + j + q) % 2 else 1
+                out.add_term(T, u, sign * cf)
+    return out
+
+
+def reference_costar(c: Cochain) -> Cochain:
+    """Reference ∂*, term by term from the displayed formula, with the sign
+    of moving [Z_i, Z_j] into sorted position counted here."""
+    alg = c.alg
+    out = Cochain(alg, c.deg - 1)
+    pos_pairs = alg.pos_pair_coords
+    for T, u in c.data.items():
+        for i, t in enumerate(T):
+            out.add_term(T[:i] + T[i + 1:],
+                         smat_bracket(alg.z_mat(t), u),
+                         -1 if i % 2 == 0 else 1)
+        for i in range(len(T)):
+            for j in range(i + 1, len(T)):
+                rest = T[:i] + T[i + 1:j] + T[j + 1:]
+                rest_set = set(rest)
+                for s, cf in pos_pairs.get((T[i], T[j]), ()):
+                    if s in rest_set:
+                        continue
+                    sign = -1 if (i + j) % 2 else 1
+                    out.add_term(tuple(sorted(rest + (s,))), u,
+                                 sign * cf * _insertion_sign(rest, s))
+    return out
+
+
+def _insertion_sign(rest: tuple[int, ...], s: int) -> int:
+    """Sign of moving s from the front of (s, rest) into sorted position."""
+    crossings = sum(1 for r in rest if r < s)
+    return -1 if crossings % 2 else 1
+
+
+def reference_laplacian(c: Cochain) -> Cochain:
+    """□ = ∂∂* + ∂*∂ through the reference operators."""
+    return reference_partial(reference_costar(c)).add(reference_costar(reference_partial(c)))
+
+
+def typed_terms(c: Cochain) -> list:
+    """Every stored value with its type, in storage order."""
+    return [(T, [(pos, type(v), v) for pos, v in u.items()]) for T, u in c.data.items()]
 
 
 def reference_operator_block(structure_in, structure_out, op, w):
@@ -297,6 +370,76 @@ class TestCostar:
                 assert alg.class_mod_p(br) == [F(0)] * alg.dim_neg
 
 
+class TestExteriorTable:
+    """``partial`` and ``costar`` read their terms from ``_exterior_table``;
+    the reference operators compute each term's sign themselves."""
+
+    @pytest.mark.parametrize("blocks", [(1, 1, 2), (2, 3), (1, 1, 3), (2, 1, 2)])
+    def test_operators_match_the_references_on_basis_cochains(self, blocks) -> None:
+        """∂ on degrees 0–3 and ∂* on degrees 1–3: equal values, value types
+        and storage order."""
+        alg = graded_sl(blocks)
+        for deg in (0, 1, 2, 3):
+            for T in itertools.combinations(range(alg.dim_neg), deg):
+                for v in range(alg.dim):
+                    c = basis_cochain(alg, deg, T, v)
+                    assert typed_terms(partial(c)) == typed_terms(reference_partial(c))
+                    if deg:
+                        assert typed_terms(costar(c)) == typed_terms(reference_costar(c))
+
+    def test_operators_match_the_references_on_fraction_cochains(self) -> None:
+        rng = random.Random(97)
+        for blocks in [(1, 1, 2), (2, 3), (1, 1, 3), (2, 1, 2)]:
+            alg = graded_sl(blocks)
+            for deg in (1, 2, 3):
+                for _ in range(8):
+                    c = Cochain(alg, deg)
+                    for _ in range(rng.randint(1, 8)):
+                        T = tuple(rng.sample(range(alg.dim_neg), deg))
+                        cf = rng.choice((rng.randint(-3, 3),
+                                         F(rng.randint(-3, 3), rng.randint(1, 4))))
+                        c.add_term(T, alg.basis_mat(rng.randrange(alg.dim)), cf)
+                    assert typed_terms(partial(c)) == typed_terms(reference_partial(c))
+                    assert typed_terms(costar(c)) == typed_terms(reference_costar(c))
+
+    def test_costar_rejects_degree_zero(self) -> None:
+        with pytest.raises(ValueError, match="degree ≥ 1"):
+            costar(Cochain(graded_sl((1, 1, 2)), 0))
+
+    @pytest.mark.parametrize("step,second", [(1, False), (1, True), (-1, False), (-1, True)])
+    def test_codiff_lift_fails_with_one_sign_class_negated(self, monkeypatch, step, second) -> None:
+        """A copy of the table with the first (x given) or second (x None)
+        sum of ∂ or ∂* negated; the cached table and the Hodge cache stay
+        as they were."""
+        real = kostant._exterior_table
+        copies: dict = {}
+
+        def negated(blocks, deg, s):
+            table = real(blocks, deg, s)
+            if s != step:
+                return table
+            if (blocks, deg) not in copies:
+                copies[blocks, deg] = {
+                    T: [(x, S, -c if (x is None) == second else c) for x, S, c in terms]
+                    for T, terms in table.items()}
+            return copies[blocks, deg]
+
+        hodge_before = hodge.cache_info()
+        monkeypatch.setattr(kostant, "_exterior_table", negated)
+        rep = run_check("codiff-lift", 2, 1, 1)
+        monkeypatch.undo()
+        assert not rep.ok and rep.failed > 0
+        assert hodge.cache_info() == hodge_before
+        assert any(terms != real(blocks, deg, step)[T]
+                   for (blocks, deg), table in copies.items() for T, terms in table.items())
+        for blocks, deg in copies:
+            assert real(blocks, deg, step) == real.__wrapped__(blocks, deg, step)
+
+    def test_codiff_lift_passes_with_the_real_table(self) -> None:
+        rep = run_check("codiff-lift", 2, 1, 1)
+        assert rep.ok and rep.cases > 0
+
+
 class TestLaplacianAndHomogeneity:
     def test_homogeneity_sentinel_for_zero(self) -> None:
         alg = graded_sl((1, 1, 2))
@@ -458,9 +601,11 @@ class TestBlocksAndModules:
         assert acc == c
 
     @pytest.mark.parametrize("blocks", [(1, 1, 2), (2, 3), (1, 1, 3), (2, 1, 2)])
-    @pytest.mark.parametrize("op,step", [(partial, 1), (costar, -1)])
+    @pytest.mark.parametrize("op,step", [(reference_partial, 1), (reference_costar, -1)],
+                             ids=["partial-1", "costar--1"])
     def test_operator_block_columns_match_blocked_coords(self, blocks, op, step) -> None:
-        """∂ on degrees 0–2 and ∂* on degrees 1–3, column by column."""
+        """∂ on degrees 0–2 and ∂* on degrees 1–3, column by column, against
+        the reference operators."""
         alg = graded_sl(blocks)
         for deg in ((0, 1, 2) if step == 1 else (1, 2, 3)):
             here = block_structure(blocks, deg)
@@ -558,7 +703,7 @@ class TestHodge:
         here = block_structure(blocks, 2)
         ker_box = hodge(blocks, 2).ker_box
         for w, labs in here.labels.items():
-            box = reference_operator_block(here, here, laplacian, w)
+            box = reference_operator_block(here, here, reference_laplacian, w)
             expected = Subspace(len(labs), kernel_basis(box))
             assert ker_box.spaces.get(w, Subspace(len(labs))) == expected, w
 
@@ -582,12 +727,13 @@ class TestHodge:
     @pytest.mark.parametrize("blocks", [(2, 4), (2, 5)])
     def test_costar_partial_block_matches_the_cochain_operators(self, blocks) -> None:
         """The degree-1 ∂*∂ block that the normalization solve reads, against
-        basis cochains pushed through partial and then costar."""
+        basis cochains pushed through the reference ∂ and then ∂*."""
         here, above = block_structure(blocks, 1), block_structure(blocks, 2)
         for w, labs in here.labels.items():
             got = block_product(operator_block(above, here, w),
                                 operator_block(here, above, w), len(labs))
-            want = reference_operator_block(here, here, lambda c: costar(partial(c)), w)
+            want = reference_operator_block(here, here,
+                                            lambda c: reference_costar(reference_partial(c)), w)
             assert got == want, w
 
     @pytest.mark.parametrize("blocks", [(1, 1, 2), (2, 3)])
@@ -607,7 +753,7 @@ class TestHodge:
             for module, mat in [
                     (h.ker_costar, operator_block(here, below, w)),
                     (h.ker_partial, operator_block(here, above, w)),
-                    (h.ker_box, reference_operator_block(here, here, laplacian, w))]:
+                    (h.ker_box, reference_operator_block(here, here, reference_laplacian, w))]:
                 want = reference(mat, len(labs))
                 got = module.spaces.get(w, Subspace(len(labs)))
                 assert (got.rows, got.pivots) == (want.rows, want.pivots), (module.name, w)
