@@ -24,7 +24,15 @@ anchored to the offending location ("values[3].matrix: ...").
 Loading checks and parses each distinct rational string once per document
 and reuses the value for its repeats.  The errors are unchanged: a string
 that fails is never kept, so its first location is the one named, and JSON
-numbers skip the reuse and are checked one by one.
+numbers skip the reuse and are checked one by one.  An integral value
+("3", "4/2" or the JSON number 3) loads as an ``int`` and any other as a
+reduced ``Fraction``, so integer cochains stay in ``int`` arithmetic; zero
+entries and all-zero matrices are not stored.
+
+Saving writes the fixed layout that ``json.dumps(doc, indent=2,
+sort_keys=True)`` would write, byte for byte, but by string joins: each
+matrix is "0" everywhere but at the stored entries, and every string in the
+document is ASCII that JSON writes unescaped.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import json
 import re
 from fractions import Fraction
 
-from .gla import SparseMat, graded_sl, smat_to_dense, smat_trace
+from .gla import SparseMat, graded_sl
 from .kostant import Cochain
 
 _RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z", re.ASCII)
@@ -43,7 +51,7 @@ class CochainFormatError(ValueError):
     """A cochain document violates the file-format invariants."""
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: int | Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -58,25 +66,32 @@ def _shown(value: object) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def parse_rational(raw: object, where: str) -> Fraction:
-    if isinstance(raw, str) and _RATIONAL.match(raw) or _is_int(raw):
+def parse_rational(raw: object, where: str) -> int | Fraction:
+    """The value of a rational string "p" or "p/q", or of a JSON integer:
+    an ``int`` when it is integral, a reduced ``Fraction`` otherwise."""
+    if _is_int(raw):
+        return raw
+    if isinstance(raw, str) and _RATIONAL.match(raw):
+        num, _, den = raw.partition("/")
         try:
-            return Fraction(raw)
+            x = Fraction(int(num), int(den)) if den else int(num)
         except ValueError as exc:  # more digits than Python's int-string limit
             raise CochainFormatError(
                 f"{where}: rational longer than the integer-string limit") from exc
+        return x.numerator if x.denominator == 1 else x
     raise CochainFormatError(f'{where}: expected a rational "p" or "p/q", got {_shown(raw)}')
 
 
 def cochain_to_doc(c: Cochain) -> dict:
-    """Deterministic document for a cochain: entries sorted by index tuple."""
+    """Deterministic document for a cochain: entries sorted by index tuple.
+    Each matrix is "0" everywhere but at the stored nonzero entries."""
+    m = c.alg.m
     values = []
     for T in sorted(c.data):
-        dense = smat_to_dense(c.data[T], c.alg.m)
-        values.append({
-            "indices": list(T),
-            "matrix": [[format_rational(v) for v in row] for row in dense],
-        })
+        rows = [["0"] * m for _ in range(m)]
+        for (a, b), v in c.data[T].items():
+            rows[a][b] = format_rational(v)
+        values.append({"indices": list(T), "matrix": rows})
     return {
         "algebra": {"type": "sl", "m": c.alg.m},
         "grading": {"blocks": list(c.alg.blocks)},
@@ -119,7 +134,7 @@ def doc_to_cochain(doc: object) -> Cochain:
     seen: set[tuple[int, ...]] = set()
     # Parsed rational strings, keyed by the string: a key by value would let
     # JSON true in, since True == 1 and both hash alike.
-    parsed: dict[str, Fraction] = {}
+    parsed: dict[str, int | Fraction] = {}
     for k, entry in enumerate(values):
         where = f"values[{k}]"
         indices = _require(entry, "indices", where)
@@ -140,6 +155,7 @@ def doc_to_cochain(doc: object) -> Cochain:
                 or any(not isinstance(row, list) or len(row) != m for row in matrix)):
             raise CochainFormatError(f"{where}.matrix: expected an {m}×{m} array")
         mat: SparseMat = {}
+        trace = 0
         for r, row in enumerate(matrix):
             for c, raw in enumerate(row):
                 x = parsed.get(raw) if type(raw) is str else None
@@ -149,14 +165,44 @@ def doc_to_cochain(doc: object) -> Cochain:
                         parsed[raw] = x
                 if x:
                     mat[r, c] = x
-        if smat_trace(mat):
+                    if r == c:
+                        trace += x
+        if trace:
             raise CochainFormatError(f"{where}.matrix: matrix is not traceless")
-        out.add_term(T, mat)
+        if mat:
+            # Validated, sorted and new: stored as is, without add_term.
+            out.data[T] = mat
     return out
 
 
 def dumps_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """A :func:`cochain_to_doc` document, byte for byte as ``json.dumps(doc,
+    indent=2, sort_keys=True) + "\\n"`` writes it, built by string joins.
+    Every string in such a document ("sl" and the formatted rationals) is
+    ASCII without quotes or backslashes, so JSON writes it as it is."""
+    algebra, grading = doc["algebra"], doc["grading"]
+    values = ",".join(map(_dumps_value, doc["values"]))
+    return ('{\n  "algebra": {\n    "m": ' + str(algebra["m"])
+            + ',\n    "type": "' + algebra["type"] + '"\n  },'
+            + '\n  "degree": ' + str(doc["degree"]) + ","
+            + '\n  "grading": {\n    "blocks": ' + _dumps_ints(grading["blocks"], 2) + "\n  },"
+            + '\n  "values": ' + (f"[{values}\n  ]" if values else "[]") + "\n}\n")
+
+
+def _dumps_ints(xs: list[int], depth: int) -> str:
+    """A list of ints as the indent-2 encoder writes it, ``depth`` levels in."""
+    if not xs:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + "  " * depth + "]"
+
+
+def _dumps_value(value: dict) -> str:
+    """One entry of "values", as the indent-2 encoder writes it in the list."""
+    rows = ",".join('\n        [\n          "' + '",\n          "'.join(row) + '"\n        ]'
+                    for row in value["matrix"])
+    return ('\n    {\n      "indices": ' + _dumps_ints(value["indices"], 3)
+            + ',\n      "matrix": [' + rows + "\n      ]\n    }")
 
 
 def load_cochain(path: str) -> Cochain:

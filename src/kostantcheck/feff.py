@@ -226,8 +226,11 @@ class EmbeddingMaps:
         self.pi_cols = pi_cols
         # Λ²π: the nonempty wedge tables of the target pairs.  Each π column
         # has at most one nonzero entry, so a table holds at most one pair.
-        self.wedge_tables = [(T, table) for T in chain_tuples(gt, 2)
-                             if (table := _wedge_table(pi_cols[T[0]], pi_cols[T[1]]))]
+        # An integral coefficient is kept as an int, so that int values stay ints.
+        self.wedge_tables = [
+            (T, {st: v.numerator if v.denominator == 1 else v for st, v in table.items()})
+            for T in chain_tuples(gt, 2)
+            if (table := _wedge_table(pi_cols[T[0]], pi_cols[T[1]]))]
 
         if Subspace(g.dim_neg, pi_cols).dim != g.dim_neg:
             raise MapConstructionError("pi is not surjective")
@@ -272,11 +275,11 @@ class EmbeddingMaps:
     def i_prime(self, x: SparseMat) -> SparseMat:
         # α(x) plus a copy of row 1 in row 2, which α leaves empty.
         out = self.alpha(x)
-        smat_add_into(out, {(2, b + (b >= 2)): frac(v) for (a, b), v in x.items() if a == 1})
+        smat_add_into(out, {(2, b + (b >= 2)): v for (a, b), v in x.items() if a == 1})
         return out
 
     def alpha(self, x: SparseMat) -> SparseMat:
-        return {(a + (a >= 2), b + (b >= 2)): frac(v) for (a, b), v in x.items()}
+        return {(a + (a >= 2), b + (b >= 2)): v for (a, b), v in x.items()}
 
     def beta(self, xt: SparseMat) -> SparseMat:
         # Columns ≠ 2 land on distinct positions; column 2 adds into column 1.

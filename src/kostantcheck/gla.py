@@ -110,13 +110,6 @@ def smat_trace(x: SparseMat) -> Fraction:
     return sum((v for (a, b), v in x.items() if a == b), Fraction(0))
 
 
-def smat_to_dense(x: SparseMat, m: int) -> list[list[Fraction]]:
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for (a, b), v in x.items():
-        out[a][b] = frac(v)
-    return out
-
-
 def elementary(a: int, b: int) -> SparseMat:
     return {(a, b): 1}
 

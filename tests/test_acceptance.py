@@ -217,6 +217,16 @@ def test_criterion_06_path_normality() -> None:
           f"cases {cases}")
 
 
+def test_criterion_06_path_normality_n5() -> None:
+    n = 5
+    rep = verify_path_normality(n)
+    assert rep.ok, rep.failures
+    got = (rep.details["literal_defects"], rep.details["bracket_literal_defects"])
+    assert got == (35, 5) == ((3 * n * n - n) // 2, n), rep.details
+    print(f"[criterion 06] path normality at n = 5: PASS — literal-failure loci "
+          f"{got}, cases {rep.cases}")
+
+
 def test_criterion_07_ag_costar() -> None:
     sampled = {}
     for n in (3, 4):

@@ -23,6 +23,7 @@ from kostantcheck.cochain_io import (
     CochainFormatError,
     cochain_to_doc,
     doc_to_cochain,
+    dumps_doc,
     format_rational,
     load_cochain,
     parse_rational,
@@ -31,7 +32,8 @@ from kostantcheck.cochain_io import (
 from kostantcheck.feff import (Report, _Checker, build_maps, transfer,
                                verify_harmonic_types)
 from kostantcheck.gla import elementary, graded_sl
-from kostantcheck.kostant import ChainModule, Cochain, costar
+from kostantcheck.kostant import ChainModule, Cochain, chain_tuples, costar, costar_two_form
+from test_feff import dense_transfer
 
 F = Fraction
 
@@ -253,7 +255,153 @@ class TestParseOncePerDocument:
         c = doc_to_cochain(doc)
         expected = {(0, 0): F(1), (1, 1): F(-1), (1, 2): F(1, 2), (0, 3): F(1)}
         assert c.data == {(0, 1): expected, (0, 2): expected}
-        assert all(type(v) is Fraction for mat in c.data.values() for v in mat.values())
+        # Integral values load as int, the others as Fraction, from either form.
+        assert all(type(v) is (int if v.denominator == 1 else Fraction)
+                   for mat in c.data.values() for v in mat.values())
+
+
+#: Coefficients of every exact kind a cochain may hold: ints (negative ones
+#: too), integral Fractions such as 4/2, and proper fractions p/q.
+MIXED_COEFFS = (1, -3, 7, F(4, 2), F(-6, 3), F(1, 2), F(-7, 3), F(5, 4))
+
+
+def mixed_cochain(blocks, deg: int, seed: int, terms: int = 4) -> Cochain:
+    """A seeded traceless cochain whose values mix the kinds of
+    ``MIXED_COEFFS``: basis matrices at sampled sorted tuples, each scaled
+    by a drawn coefficient."""
+    alg = graded_sl(blocks)
+    rng = random.Random(f"mixed:{blocks}:{deg}:{seed}")
+    tuples = chain_tuples(alg, deg)
+    c = Cochain(alg, deg)
+    for _ in range(terms):
+        c.add_term(rng.choice(tuples), alg.basis_mat(rng.randrange(alg.dim)),
+                   rng.choice(MIXED_COEFFS))
+    return c
+
+
+def json_layout(c: Cochain) -> str:
+    """The reference bytes of a cochain file: the standard-library encoder."""
+    return json.dumps(cochain_to_doc(c), indent=2, sort_keys=True) + "\n"
+
+
+class TestFixedLayoutWriter:
+    """``dumps_doc`` writes the layout of ``json.dumps(indent=2,
+    sort_keys=True)`` by string joins; these pin it byte for byte."""
+
+    @pytest.mark.parametrize("blocks", checks._configs(3))
+    @pytest.mark.parametrize("deg", [0, 1, 2, 3])
+    def test_matches_the_json_encoder(self, blocks, deg) -> None:
+        for seed in range(3):
+            c = mixed_cochain(blocks, deg, seed)
+            assert not c.is_zero()
+            assert dumps_doc(cochain_to_doc(c)) == json_layout(c)
+        kinds = {type(v) for seed in range(3)
+                 for mat in mixed_cochain(blocks, deg, seed).data.values()
+                 for v in mat.values()}
+        assert kinds == {int, Fraction}
+
+    @pytest.mark.parametrize("blocks", checks._configs(3))
+    @pytest.mark.parametrize("deg", [0, 2])
+    def test_empty_cochain(self, blocks, deg) -> None:
+        c = Cochain(graded_sl(blocks), deg)
+        text = dumps_doc(cochain_to_doc(c))
+        assert text == json_layout(c)
+        assert '"values": []' in text
+
+    def test_degree_zero_writes_empty_indices(self) -> None:
+        c = mixed_cochain((2, 3), 0, seed=0)
+        text = dumps_doc(cochain_to_doc(c))
+        assert text == json_layout(c)
+        assert '"indices": []' in text
+
+    def test_values_of_every_kind(self) -> None:
+        alg = graded_sl((1, 1, 3))
+        c = Cochain(alg, 1)
+        c.add_term((0,), {(0, 0): -3, (1, 1): F(4, 2), (0, 1): F(-7, 3),
+                          (2, 2): 1, (4, 3): F(5, 4)})
+        text = dumps_doc(cochain_to_doc(c))
+        assert text == json_layout(c)
+        for shown in ('"-3"', '"2"', '"-7/3"', '"1"', '"5/4"'):
+            assert shown in text
+
+    def test_save_writes_the_layout(self, tmp_path) -> None:
+        c = mixed_cochain((2, 1, 3), 2, seed=5)
+        path = tmp_path / "c.json"
+        save_cochain(c, str(path))
+        assert path.read_bytes() == json_layout(c).encode()
+
+
+class TestLoadedValueTypes:
+    """Integral values load as ``int``, the others as reduced ``Fraction``."""
+
+    @pytest.mark.parametrize("raw", ["3", "4/2", 3, "03", "-12/4"])
+    def test_integral_values_are_ints(self, raw) -> None:
+        x = parse_rational(raw, "x")
+        assert type(x) is int and x == Fraction(raw)
+
+    @pytest.mark.parametrize("raw,value", [("-7/3", F(-7, 3)), ("14/6", F(7, 3)),
+                                           ("1/2", F(1, 2))])
+    def test_proper_fractions_are_reduced(self, raw, value) -> None:
+        x = parse_rational(raw, "x")
+        assert type(x) is Fraction and x == value
+        assert (x.numerator, x.denominator) == (value.numerator, value.denominator)
+
+    def test_document_entries_keep_their_kind(self) -> None:
+        doc = single_value_doc(TestParseOncePerDocument.MATRIX)
+        matrix = doc["values"][0]["matrix"]
+        matrix[0][0], matrix[1][1] = "4/2", -2
+        matrix[2][3], matrix[3][0] = "-7/3", 3
+        c = doc_to_cochain(doc)
+        assert c.data == {(0, 1): {(0, 0): 2, (1, 1): -2, (1, 2): F(1, 2),
+                                   (2, 3): F(-7, 3), (3, 0): 3}}
+        types = {pos: type(v) for pos, v in c.data[(0, 1)].items()}
+        assert types == {(0, 0): int, (1, 1): int, (1, 2): Fraction,
+                         (2, 3): Fraction, (3, 0): int}
+
+    @pytest.mark.parametrize("zero", ["0", "-0", "0/5", 0])
+    def test_zero_entries_are_not_stored(self, zero) -> None:
+        doc = single_value_doc(TestParseOncePerDocument.MATRIX, values=2)
+        doc["values"][0]["matrix"][1][2] = zero
+        doc["values"][1]["matrix"] = [[zero] * 4 for _ in range(4)]
+        c = doc_to_cochain(doc)
+        assert c.data == {(0, 1): {(0, 0): 1, (1, 1): -1}}
+
+    @pytest.mark.parametrize("blocks", checks._configs(3))
+    @pytest.mark.parametrize("deg", [0, 1, 2, 3])
+    def test_round_trip_of_mixed_values(self, tmp_path, blocks, deg) -> None:
+        path = str(tmp_path / "c.json")
+        for seed in range(2):
+            c = mixed_cochain(blocks, deg, seed)
+            save_cochain(c, path)
+            loaded = load_cochain(path)
+            assert loaded == c
+            assert all(type(v) is (int if v.denominator == 1 else Fraction)
+                       for mat in loaded.data.values() for v in mat.values())
+
+
+class TestRequestOutputs:
+    """Each ``costar`` and ``transfer`` output file equals its independent
+    reference written by the standard-library encoder."""
+
+    @pytest.mark.parametrize("blocks", [(1, 1, 3), (2, 3), (2, 4), (2, 1, 3)])
+    def test_costar_file_is_the_evaluation_form(self, tmp_path, blocks) -> None:
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        for seed in range(3):
+            c = mixed_cochain(blocks, 2, seed, terms=6)
+            save_cochain(c, str(src))
+            assert cli.main(["costar", "--input", str(src), "--output", str(dst)]) == 0
+            assert dst.read_text(encoding="utf-8") == json_layout(costar_two_form(c))
+
+    @pytest.mark.parametrize("n,source", [(2, "path"), (3, "path"), (3, "ag"), (4, "ag")])
+    def test_transfer_file_is_the_dense_reference(self, tmp_path, n, source) -> None:
+        maps = build_maps(n, source)
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        for seed in range(3):
+            c = mixed_cochain(maps.g.blocks, 2, seed, terms=6)
+            save_cochain(c, str(src))
+            assert cli.main(["transfer", "--input", str(src), "--source", source,
+                             "--output", str(dst)]) == 0
+            assert dst.read_text(encoding="utf-8") == json_layout(dense_transfer(c, maps))
 
 
 class TestCheckRegistry:

@@ -114,8 +114,12 @@ class TestEmbeddingMaps:
         # columns 1 and 2 merge: their entries add, and cancel to nothing
         assert maps.beta({(0, 1): 1, (0, 2): 2, (3, 2): 5}) == {(0, 1): F(3), (2, 1): F(5)}
         assert maps.beta({(1, 1): 1, (1, 2): -1}) == {}
-        for img in (maps.beta({(0, 1): 1, (0, 2): 2}), maps.i_prime({(1, 0): 1, (2, 3): 2})):
-            assert img and all(type(v) is Fraction for v in img.values())
+        img = maps.beta({(0, 1): 1, (0, 2): 2})
+        assert img and all(type(v) is Fraction for v in img.values())
+        # α and i′ only move entries, so every value keeps its type.
+        for x in ({(1, 0): 1, (2, 3): 2}, {(1, 0): F(1, 2), (2, 3): F(2)}):
+            for img in (maps.alpha(x), maps.i_prime(x)):
+                assert img and {type(v) for v in img.values()} == {type(v) for v in x.values()}
 
     @pytest.mark.parametrize("n,source", [(2, "path"), (3, "path"), (3, "ag")])
     def test_qmap_inverts_i_prime(self, n: int, source: str) -> None:
@@ -421,13 +425,15 @@ class TestTransfer:
             assert bool(got.data) == bool(kappa.data)
 
     def test_wedge_tables_are_the_nonempty_target_pairs(self) -> None:
-        for n, source in [(3, "path"), (4, "ag")]:
+        for n, source in [(3, "path"), (4, "path"), (3, "ag"), (4, "ag")]:
             maps = build_maps(n, source)
             tables = dict(maps.wedge_tables)
             for T in chain_tuples(maps.gt, 2):
                 table = _wedge_table(maps.pi_cols[T[0]], maps.pi_cols[T[1]])
                 assert tables.get(T, {}) == table
                 assert len(table) <= 1
+            # Every coefficient is integral and kept as an int.
+            assert all(type(v) is int for _, table in maps.wedge_tables for v in table.values())
 
     def test_wedge_table_matches_the_dense_formula(self) -> None:
         """Seeded vectors over few values, so supports overlap and the two
