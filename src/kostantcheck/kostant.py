@@ -2,9 +2,12 @@
 
 A degree-k cochain is stored as its values on strictly increasing index
 tuples over the quotient basis {X^i} of g/p; the alternating multilinear
-extension is implicit.  Under the trace-form identification (g/p)* ≅ p_+
-the same data is the chain Σ_{T} Z_{t_1}∧…∧Z_{t_k} ⊗ φ(T), and both
-operators below are written on that representation:
+extension is implicit.  ``Cochain.add_term`` raises ``ValueError`` on any
+other key; ``apply_insertion`` and the oracle ``penrose.reassemble``, whose
+arguments arrive out of order, place them with the reordering sign
+themselves.  Under the trace-form identification (g/p)* ≅ p_+ the same data
+is the chain Σ_{T} Z_{t_1}∧…∧Z_{t_k} ⊗ φ(T), and both operators below are
+written on that representation:
 
 * ``partial`` (∂) is the Lie-algebra homology differential of g_- with
   coefficients in g,
@@ -62,18 +65,6 @@ from .gla import (
 from .ratlin import Subspace, null_space
 
 
-def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
-    """Sorted tuple and permutation sign; None if an index repeats."""
-    if len(set(indices)) != len(indices):
-        return None
-    sign = 1
-    for i in range(len(indices)):
-        for j in range(i + 1, len(indices)):
-            if indices[i] > indices[j]:
-                sign = -sign
-    return tuple(sorted(indices)), sign
-
-
 class Cochain:
     """Alternating multilinear map (g/p)^k → g on a fixed graded algebra."""
 
@@ -88,20 +79,20 @@ class Cochain:
             for T, mat in data.items():
                 self.add_term(T, mat)
 
-    def add_term(self, indices: Sequence[int], mat: SparseMat, coeff=1) -> None:
-        """Accumulate coeff·(value at indices); indices may be unsorted."""
-        if len(indices) != self.deg:
+    def add_term(self, T: tuple[int, ...], mat: SparseMat, coeff=1) -> None:
+        """Accumulate coeff·(value at T).  T must be strictly increasing, in
+        the g/p basis range and ``deg`` long; any other tuple is a
+        ``ValueError``."""
+        if len(T) != self.deg:
             raise ValueError("index tuple has wrong length for this degree")
+        if any(s >= t for s, t in zip(T, T[1:])):
+            raise ValueError("index tuple is not strictly increasing")
+        if T and (T[0] < 0 or T[-1] >= self.alg.dim_neg):
+            raise ValueError("index outside the g/p basis range")
         if not mat or not coeff:
             return
-        if any(t < 0 or t >= self.alg.dim_neg for t in indices):
-            raise ValueError("index outside the g/p basis range")
-        normalized = _sort_with_sign(tuple(indices))
-        if normalized is None:
-            return
-        T, sign = normalized
         target = self.data.setdefault(T, {})
-        smat_add_into(target, mat, sign * coeff)
+        smat_add_into(target, mat, coeff)
         if not target:
             del self.data[T]
 
@@ -109,7 +100,7 @@ class Cochain:
         """In place: self += coeff·other; returns self.
 
         The stored tuples of ``other`` are already sorted and in range, so
-        its values are accumulated directly, without re-normalizing them.
+        its values are accumulated directly, without checking them again.
         """
         if other.alg.blocks != self.alg.blocks or other.deg != self.deg:
             raise ValueError("cochain context mismatch")
@@ -323,8 +314,8 @@ def apply_insertion(table: InsertionTable, psi: Cochain) -> Cochain:
     values = _values_by_argument(psi)
     out = Cochain(psi.alg, 3)
     # Every cyclic term ψ(φ(X^a, X^b) mod p, X^w) comes from a row (a, b) of
-    # the table; add_term's sort sign places it on the increasing triple, as
-    # the cyclic sum over that triple requires.
+    # the table as the value at (a, b, w); on the increasing triple it changes
+    # sign only for a < w < b, one transposition away ((w, a, b) is cyclic).
     for a, b, cls in table.rows:
         accs: dict[int, SparseMat] = {}
         for s, cf in cls:
@@ -332,7 +323,12 @@ def apply_insertion(table: InsertionTable, psi: Cochain) -> Cochain:
                 if w != a and w != b:
                     smat_add_into(accs.setdefault(w, {}), u, sign * cf)
         for w in sorted(accs):
-            out.add_term((a, b, w), accs[w])
+            if w < a:
+                out.add_term((w, a, b), accs[w])
+            elif w < b:
+                out.add_term((a, w, b), accs[w], -1)
+            else:
+                out.add_term((a, b, w), accs[w])
     return out
 
 
@@ -365,11 +361,13 @@ def homogeneity_split(c: Cochain) -> dict[int, Cochain]:
     out: dict[int, Cochain] = {}
     for T, u in c.data.items():
         arg_deg = sum(alg.degree_of_position(*alg.neg_positions[t]) for t in T)
+        # Distinct d give distinct nonzero components and h: each (h, T) is new.
         for d in alg.degrees_present(u):
-            comp = alg.grading_component(u, d)
             h = d - arg_deg
-            out.setdefault(h, Cochain(alg, c.deg)).add_term(T, comp)
-    return {h: comp for h, comp in out.items() if not comp.is_zero()}
+            if h not in out:
+                out[h] = Cochain(alg, c.deg)
+            out[h].data[T] = alg.grading_component(u, d)
+    return out
 
 
 def homogeneity(c: Cochain) -> int | None:

@@ -202,7 +202,8 @@ def reassemble(blocks: CurvatureBlocks, alg: GradedSL) -> Cochain:
             if i == j:
                 raise ValueError("block data is not skew under the slot-pair swap")
             # Each unordered pair occurs twice in the skew tensor data.
-            out.add_term((i, j), {value_pos(idx): frac(v)}, half)
+            T, cf = ((i, j), half) if i < j else ((j, i), -half)
+            out.add_term(T, {value_pos(idx): frac(v)}, cf)
     return out
 
 

@@ -50,15 +50,22 @@ from kostantcheck.ratlin import Subspace, kernel_basis
 F = Fraction
 
 
+def increasing(indices) -> tuple[tuple[int, ...], int]:
+    """The increasing tuple of distinct indices and the sign of the sorting
+    permutation, counted by inversions."""
+    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
+    return tuple(sorted(indices)), -1 if inversions % 2 else 1
+
+
 def value(c: Cochain, indices: tuple[int, ...]) -> dict:
     """Reference lookup φ(X^{i_1},…,X^{i_k}) for any order of the indices:
     the stored value of the sorted tuple times the sign of the sorting
-    permutation, counted by inversions; zero on a repeated index."""
+    permutation; zero on a repeated index."""
     if len(set(indices)) < len(indices):
         return {}
-    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
-    stored = c.data.get(tuple(sorted(indices)), {})
-    return {pos: -v for pos, v in stored.items()} if inversions % 2 else dict(stored)
+    T, sign = increasing(indices)
+    stored = c.data.get(T, {})
+    return {pos: -v for pos, v in stored.items()} if sign < 0 else dict(stored)
 
 
 def insertion(phi: Cochain, psi: Cochain) -> Cochain:
@@ -179,8 +186,8 @@ def reference_operator_block(structure_in, structure_out, op, w):
 def random_cochain(alg, deg: int, rng: random.Random, terms: int = 6) -> Cochain:
     c = Cochain(alg, deg)
     for _ in range(terms):
-        T = tuple(rng.sample(range(alg.dim_neg), deg))
-        c.add_term(T, alg.basis_mat(rng.randrange(alg.dim)), F(rng.randint(-3, 3)))
+        T, sign = increasing(rng.sample(range(alg.dim_neg), deg))
+        c.add_term(T, alg.basis_mat(rng.randrange(alg.dim)), sign * F(rng.randint(-3, 3)))
     return c
 
 
@@ -199,12 +206,38 @@ class TestCochainStorage:
     def test_alternation_on_insert_and_lookup(self) -> None:
         alg = graded_sl((1, 1, 2))
         c = Cochain(alg, 2)
-        c.add_term((3, 1), elementary(0, 1))
+        c.add_term((1, 3), elementary(0, 1), -1)
         assert value(c, (1, 3)) == {(0, 1): F(-1)}
         assert value(c, (3, 1)) == {(0, 1): F(1)}
         assert value(c, (1, 1)) == {}
         c.add_term((1, 3), elementary(0, 1))
         assert c.is_zero()
+
+    @pytest.mark.parametrize("indices,match", [
+        ((3, 1), "increasing"),
+        ((1, 1), "increasing"),
+        ((1, 5), "range"),
+        ((-1, 1), "range"),
+        ((1,), "length"),
+        ((0, 1, 2), "length"),
+    ])
+    def test_only_increasing_in_range_tuples_of_the_degree_are_keys(self, indices, match) -> None:
+        """add_term, the data constructor and basis_cochain raise on every
+        malformed key, also with a zero value or coefficient; nothing is
+        stored under it or under a reordered key."""
+        alg = graded_sl((1, 1, 2))
+        assert alg.dim_neg == 5
+        c = Cochain(alg, 2)
+        for coeff in (1, 0):
+            with pytest.raises(ValueError, match=match):
+                c.add_term(indices, elementary(0, 1), coeff)
+        with pytest.raises(ValueError, match=match):
+            c.add_term(indices, {})
+        assert c.is_zero()
+        with pytest.raises(ValueError, match=match):
+            Cochain(alg, 2, {indices: elementary(0, 1)})
+        with pytest.raises(ValueError, match=match):
+            basis_cochain(alg, 2, indices, 0)
 
     def test_linear_combination(self) -> None:
         alg = graded_sl((1, 1, 2))
@@ -395,10 +428,10 @@ class TestExteriorTable:
                 for _ in range(8):
                     c = Cochain(alg, deg)
                     for _ in range(rng.randint(1, 8)):
-                        T = tuple(rng.sample(range(alg.dim_neg), deg))
+                        T, sign = increasing(rng.sample(range(alg.dim_neg), deg))
                         cf = rng.choice((rng.randint(-3, 3),
                                          F(rng.randint(-3, 3), rng.randint(1, 4))))
-                        c.add_term(T, alg.basis_mat(rng.randrange(alg.dim)), cf)
+                        c.add_term(T, alg.basis_mat(rng.randrange(alg.dim)), sign * cf)
                     assert typed_terms(partial(c)) == typed_terms(reference_partial(c))
                     assert typed_terms(costar(c)) == typed_terms(reference_costar(c))
 

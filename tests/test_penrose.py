@@ -57,8 +57,9 @@ def random_tensor(sig, n: int, rng: random.Random) -> EFTensor:
 def random_cochain(alg, rng: random.Random, terms: int = 8) -> Cochain:
     c = Cochain(alg, 2)
     for _ in range(terms):
-        T = tuple(rng.sample(range(alg.dim_neg), 2))
-        c.add_term(T, alg.basis_mat(rng.randrange(alg.dim)), F(rng.randint(-3, 3)))
+        i, j = rng.sample(range(alg.dim_neg), 2)
+        T, sign = ((i, j), 1) if i < j else ((j, i), -1)
+        c.add_term(T, alg.basis_mat(rng.randrange(alg.dim)), sign * F(rng.randint(-3, 3)))
     return c
 
 
