@@ -69,7 +69,7 @@ def _random_combination(basis: list[Cochain], rng: random.Random) -> Cochain:
 
 def _random_tensor(sig: tuple[str, ...], n: int, rng: random.Random) -> EFTensor:
     t = EFTensor(sig, n)
-    for idx in itertools.product(*[range(t.slot_dim(k)) for k in range(len(sig))]):
+    for idx in itertools.product(*map(range, t.dims)):
         t.add_entry(idx, rng.randint(-9, 9))
     return t
 

@@ -42,7 +42,7 @@ from .kostant import (ChainModule, Cochain, apply_insertion, block_product,
                       cochain_from_block, coordinate_subspace, costar, hodge,
                       index_positions, insertion_partners, insertion_table,
                       operator_block)
-from .ratlin import Subspace, frac, null_space, solve, zero_vector
+from .ratlin import Subspace, null_space, solve
 
 #: Sentinel returned by :func:`normalize_step` when ∂̃*∂̃φ = −ψ has no
 #: solution φ in the level; a singular weight block is the only way there.
@@ -97,9 +97,9 @@ class _Checker:
                       details=details or {}, failed=self.failed)
 
 
-def _unit(dim: int, i: int) -> list[Fraction]:
-    vec = zero_vector(dim)
-    vec[i] = Fraction(1)
+def _unit(dim: int, i: int) -> list[int]:
+    vec = [0] * dim
+    vec[i] = 1
     return vec
 
 
@@ -212,13 +212,16 @@ class EmbeddingMaps:
         self.h_space = null_space(neg_rows, g.dim)
 
         # π: solve class(i'(x)) = e_j for each target direction, then read the
-        # class of x modulo the source parabolic.
-        pi_cols: list[list[Fraction]] = []
+        # class of x modulo the source parabolic.  An integral coefficient of
+        # the solution is kept as an int, so that π*, Λ²π and the transfer
+        # keep int values int.
+        pi_cols: list[list[int | Fraction]] = []
         for j in range(gt.dim_neg):
             u = solve(neg_rows, _unit(gt.dim_neg, j))
             if u is None:
                 raise MapConstructionError("pi is not surjective")
-            pi_cols.append(g.class_mod_p(g.from_coords(u)))
+            pi_cols.append([v.numerator if v.denominator == 1 else v
+                            for v in g.class_mod_p(g.from_coords(u))])
         # π is well defined on classes iff h, the kernel of neg_rows, lies in p.
         for k in self.h_space.rows:
             if any(g.class_mod_p(g.from_coords(k))):
@@ -226,10 +229,8 @@ class EmbeddingMaps:
         self.pi_cols = pi_cols
         # Λ²π: the nonempty wedge tables of the target pairs.  Each π column
         # has at most one nonzero entry, so a table holds at most one pair.
-        # An integral coefficient is kept as an int, so that int values stay ints.
         self.wedge_tables = [
-            (T, {st: v.numerator if v.denominator == 1 else v for st, v in table.items()})
-            for T in chain_tuples(gt, 2)
+            (T, table) for T in chain_tuples(gt, 2)
             if (table := _wedge_table(pi_cols[T[0]], pi_cols[T[1]]))]
 
         if Subspace(g.dim_neg, pi_cols).dim != g.dim_neg:
@@ -266,7 +267,7 @@ class EmbeddingMaps:
         for (a, b), img in self.pi_star_pos.items():
             s = g.index_of_neg[(b, a)]
             for j in range(gt.dim_neg):
-                pairing = img.get(tuple(reversed(gt.neg_positions[j])), Fraction(0))
+                pairing = img.get(tuple(reversed(gt.neg_positions[j])), 0)
                 if pairing != pi_cols[j][s]:
                     raise MapConstructionError("duality pairing failed")
 
@@ -283,16 +284,16 @@ class EmbeddingMaps:
 
     def beta(self, xt: SparseMat) -> SparseMat:
         # Columns ≠ 2 land on distinct positions; column 2 adds into column 1.
-        out = {(a - (a > 2), b - (b > 2)): frac(v) for (a, b), v in xt.items()
+        out = {(a - (a > 2), b - (b > 2)): v for (a, b), v in xt.items()
                if a != 2 and b != 2}
-        smat_add_into(out, {(a - (a > 2), 1): frac(v) for (a, b), v in xt.items()
+        smat_add_into(out, {(a - (a > 2), 1): v for (a, b), v in xt.items()
                             if a != 2 and b == 2})
         return out
 
     def qmap(self, xt: SparseMat) -> SparseMat:
         if not self._qmap_domain.contains(self.gt.coords(xt)):
             raise ValueError("qmap argument outside i'(g) + n1F")
-        return {(a - (a > 2), b - (b > 2)): frac(v) for (a, b), v in xt.items()
+        return {(a - (a > 2), b - (b > 2)): v for (a, b), v in xt.items()
                 if a != 2 and b != 2}
 
     # -- quotient maps -----------------------------------------------------
@@ -302,7 +303,7 @@ class EmbeddingMaps:
         for pos, v in z.items():
             if self.g.degree_of_position(*pos) <= 0:
                 raise ValueError("pi_star argument outside the positive part")
-            smat_add_into(out, self.pi_star_pos[pos], frac(v))
+            smat_add_into(out, self.pi_star_pos[pos], v)
         return out
 
     # -- the bracket relation ------------------------------------------------
@@ -315,7 +316,7 @@ class EmbeddingMaps:
         for (c, b), zv in z.items():
             wv = w.get((1, c))
             if wv and b >= 2:
-                smat_add_into(out, {(2, b + 1): frac(wv * zv)})
+                smat_add_into(out, {(2, b + 1): wv * zv})
         return out
 
     def bracket_pairs(self, values: Sequence[int]) -> Iterator[
@@ -986,7 +987,7 @@ def normalize_step(psi: Cochain, level: int) -> Cochain | None:
     phi = Cochain(alg, 1)
     for w, space in sorted(dom.spaces.items()):
         dim_w = here.block_dim(w)
-        rhs = [-v for v in psi_blocks.get(w, zero_vector(dim_w))]
+        rhs = [-v for v in psi_blocks.get(w, [0] * dim_w)]
         # ∂̃*∂̃ on this weight block, applied to the level's basis rows.
         box = block_product(operator_block(above, here, w),
                             operator_block(here, above, w), dim_w)
@@ -1039,10 +1040,10 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
                   "i'^{-1}(p̃_+) differs from q_1^V ⊕ q_2")
         details["positive_preimage_dim"] = fine_pos.dim
     else:
-        w_vec = [Fraction(0)] * gt.m
-        w_vec[2] = Fraction(-1)
-        v_vec = [Fraction(0)] * gt.m
-        v_vec[1], v_vec[2] = Fraction(1), Fraction(-1)
+        w_vec = [0] * gt.m
+        w_vec[2] = -1
+        v_vec = [0] * gt.m
+        v_vec[1], v_vec[2] = 1, -1
 
         # Ãw = 0 is column 2 of Ã; (vÃ)_c is row 1 minus row 2 of Ã.
         gt_basis = [gt.basis_mat(i) for i in range(gt.dim)]
@@ -1059,12 +1060,10 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
         details["annihilator_dim"] = s2.dim
         for pos in maps.n1F_positions:
             mat = elementary(*pos)
-            image_w = [sum((mat.get((r, c), Fraction(0)) * w_vec[c]
-                            for c in range(gt.m)), Fraction(0))
+            image_w = [sum(mat.get((r, c), 0) * w_vec[c] for c in range(gt.m))
                        for r in range(gt.m)]
             chk.check(not any(image_w), f"n1F·w nonzero at position {pos}")
-            v_image = [sum((v_vec[r] * mat.get((r, c), Fraction(0))
-                            for r in range(gt.m)), Fraction(0))
+            v_image = [sum(v_vec[r] * mat.get((r, c), 0) for r in range(gt.m))
                        for c in range(gt.m)]
             chk.check(not any(v_image[:3]),
                       f"v·n1F outside (0,0,0,ℝⁿ) at position {pos}")

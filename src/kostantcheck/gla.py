@@ -11,7 +11,9 @@ Elements are stored sparsely as ``{(row, col): value}`` with exact entries
 and zero values never kept; this keeps brackets of (near-)elementary
 matrices O(1) instead of O(m³), which is what makes the exhaustive
 differential sweeps cheap.  Basis elements and structure constants are
-``int``, so brackets of basis elements stay in integer arithmetic.
+``int``, so brackets of basis elements stay in integer arithmetic, and no
+function here coerces a value: coordinates, classes and lifts keep the type
+that arithmetic gave them.
 
 Fixed ordered basis of sl(m) (this order is a package-wide convention —
 serialized coordinates and chain-space coordinates all refer to it):
@@ -37,8 +39,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, cached_property
 from typing import Sequence
-
-from .ratlin import frac
 
 # A g-element: sparse matrix {(row, col): nonzero exact value}.
 SparseMat = dict
@@ -96,9 +96,9 @@ def smat_bracket(x: SparseMat, y: SparseMat) -> SparseMat:
     return out
 
 
-def smat_trace_pair(x: SparseMat, y: SparseMat) -> Fraction:
+def smat_trace_pair(x: SparseMat, y: SparseMat) -> int | Fraction:
     """tr(xy) = Σ x_ab · y_ba."""
-    total = Fraction(0)
+    total = 0
     for (a, b), xv in x.items():
         yv = y.get((b, a))
         if yv:
@@ -106,8 +106,8 @@ def smat_trace_pair(x: SparseMat, y: SparseMat) -> Fraction:
     return total
 
 
-def smat_trace(x: SparseMat) -> Fraction:
-    return sum((v for (a, b), v in x.items() if a == b), Fraction(0))
+def smat_trace(x: SparseMat) -> int | Fraction:
+    return sum(v for (a, b), v in x.items() if a == b)
 
 
 def elementary(a: int, b: int) -> SparseMat:
@@ -226,24 +226,24 @@ class GradedSL:
         out: SparseMat = {}
         for idx, v in enumerate(vec):
             if v:
-                smat_add_into(out, self.basis_mat(idx), frac(v))
+                smat_add_into(out, self.basis_mat(idx), v)
         return out
 
-    def class_mod_p(self, x: SparseMat) -> list[Fraction]:
-        """Coordinates of x + p in the quotient basis {X^i}."""
-        out = [Fraction(0)] * self.dim_neg
+    def class_mod_p(self, x: SparseMat) -> list[int | Fraction]:
+        """Coordinates of x + p in the quotient basis {X^i}, values as stored."""
+        out: list[int | Fraction] = [0] * self.dim_neg
         index_of_neg = self.index_of_neg
         for pos, v in x.items():
             i = index_of_neg.get(pos)
             if i is not None:
-                out[i] = frac(v)
+                out[i] = v
         return out
 
     def lift_from_class(self, coeffs: Sequence) -> SparseMat:
         out: SparseMat = {}
         for i, c in enumerate(coeffs):
             if c:
-                out[self.neg_positions[i]] = frac(c)
+                out[self.neg_positions[i]] = c
         return out
 
     # --- brackets -----------------------------------------------------------

@@ -212,7 +212,7 @@ def lift_classes(alg: GradedSL,
             smat_add_into(lift, lift_extras[x])
         row = []
         for i, z in enumerate(z_mats):
-            cls = tuple((a, -Fraction(cf) / 2)
+            cls = tuple((a, Fraction(-cf, 2))
                         for a, cf in enumerate(alg.class_mod_p(smat_bracket(z, lift))) if cf)
             if cls:
                 row.append((i, cls))

@@ -32,7 +32,6 @@ from typing import Mapping, Sequence
 
 from .gla import GradedSL, graded_sl, smat_add_into
 from .kostant import ChainModule, Cochain, chain_tuples, hodge
-from .ratlin import frac
 
 TAU_SIG = ("E", "F*", "E", "F*", "F", "E*")
 W_SIG = ("E", "F*", "E", "F*", "E", "E*")
@@ -46,40 +45,39 @@ _VALID_SLOTS = frozenset({"E", "E*", "F", "F*"})
 
 
 class EFTensor:
-    """Sparse tensor with exact entries and slots typed over {E, E*, F, F*}."""
+    """Sparse tensor with exact entries and slots typed over {E, E*, F, F*}.
 
-    __slots__ = ("sig", "n", "data")
+    ``data`` maps index tuples to nonzero ``int`` or ``Fraction`` values,
+    each of the type its arithmetic produced, with no coercion; ``dims``
+    holds the range of each slot: 2 for E and E*, n for F and F*.
+    """
+
+    __slots__ = ("sig", "n", "dims", "data")
 
     def __init__(self, sig: Sequence[str], n: int,
-                 data: Mapping[tuple[int, ...], object] | None = None) -> None:
+                 data: Mapping[tuple[int, ...], int | Fraction] | None = None) -> None:
         self.sig = tuple(sig)
         if not self.sig or any(s not in _VALID_SLOTS for s in self.sig):
             raise ValueError("slot signature must be nonempty over {E, E*, F, F*}")
         if n < 1:
             raise ValueError("F-dimension must be positive")
         self.n = n
-        self.data: dict[tuple[int, ...], Fraction] = {}
+        self.dims = tuple(2 if s in ("E", "E*") else n for s in self.sig)
+        self.data: dict[tuple[int, ...], int | Fraction] = {}
         if data:
             for idx, v in data.items():
                 self.add_entry(idx, v)
 
-    def slot_dim(self, k: int) -> int:
-        return 2 if self.sig[k] in ("E", "E*") else self.n
-
-    def add_entry(self, idx: Sequence[int], value) -> None:
-        value = frac(value)
-        if not value:
-            return
+    def add_entry(self, idx: Sequence[int], value: int | Fraction) -> None:
         idx = tuple(idx)
-        if len(idx) != len(self.sig):
+        if len(idx) != len(self.dims):
             raise ValueError("index tuple does not match the slot signature")
-        for k, i in enumerate(idx):
-            if not 0 <= i < self.slot_dim(k):
+        for k, (i, d) in enumerate(zip(idx, self.dims)):
+            if not 0 <= i < d:
                 raise ValueError(f"index {i} out of range in slot {k}")
         smat_add_into(self.data, {idx: value})
 
-    def scale(self, coeff) -> "EFTensor":
-        coeff = frac(coeff)
+    def scale(self, coeff: int | Fraction) -> "EFTensor":
         out = EFTensor(self.sig, self.n)
         if coeff:
             out.data = {idx: coeff * v for idx, v in self.data.items()}
@@ -203,7 +201,7 @@ def reassemble(blocks: CurvatureBlocks, alg: GradedSL) -> Cochain:
                 raise ValueError("block data is not skew under the slot-pair swap")
             # Each unordered pair occurs twice in the skew tensor data.
             T, cf = ((i, j), half) if i < j else ((j, i), -half)
-            out.add_term(T, {value_pos(idx): frac(v)}, cf)
+            out.add_term(T, {value_pos(idx): v}, cf)
     return out
 
 
@@ -330,7 +328,7 @@ def rho_cochain(p: EFTensor, alg: GradedSL) -> Cochain:
         raise ValueError("algebra does not match the tensor dimensions")
     out = Cochain(alg, 1)
     for (a, ap, c, bp), v in p.data.items():
-        out.add_term((alg.index_of_neg[(ap + 2, a)],), {(c, bp + 2): frac(v)})
+        out.add_term((alg.index_of_neg[(ap + 2, a)],), {(c, bp + 2): v})
     return out
 
 

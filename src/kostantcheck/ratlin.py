@@ -5,7 +5,10 @@ of exact entries, so this module keeps the conventions in one place:
 
 * matrices are dense lists of row lists whose entries are ``int`` or
   ``fractions.Fraction`` (the two mix exactly); :func:`rref`,
-  :func:`kernel_basis` and :func:`solve` return ``Fraction``;
+  :func:`kernel_basis`, :func:`solve` and :attr:`Subspace.rows` return
+  ``Fraction`` by contract, integral entries included; nothing else in the
+  package coerces a value, so everywhere else a value keeps the type that
+  arithmetic gave it and a ``Fraction`` comes only from a true quotient;
 * elimination is fraction-free: each row is scaled to coprime integers and
   reduced Gauss–Jordan over Python ``int`` (integer-preserving elimination
   as in Bareiss 1968, with each updated row divided by the gcd of its
@@ -35,11 +38,6 @@ from typing import Iterable, Sequence
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
-
-
-def frac(x: int | str | Fraction) -> Fraction:
-    """Coerce an exact value (int, Fraction, or 'p/q' string) to Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def zero_vector(n: int) -> Vector:
@@ -184,7 +182,7 @@ def solve(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector 
     if not mat:
         return []
     ncols = len(mat[0])
-    augmented = [list(row) + [frac(b)] for row, b in zip(mat, rhs)]
+    augmented = [list(row) + [b] for row, b in zip(mat, rhs)]
     reduced, rk = rref(augmented)
     sol = zero_vector(ncols)
     for r in range(rk):

@@ -114,11 +114,10 @@ class TestEmbeddingMaps:
         # columns 1 and 2 merge: their entries add, and cancel to nothing
         assert maps.beta({(0, 1): 1, (0, 2): 2, (3, 2): 5}) == {(0, 1): F(3), (2, 1): F(5)}
         assert maps.beta({(1, 1): 1, (1, 2): -1}) == {}
-        img = maps.beta({(0, 1): 1, (0, 2): 2})
-        assert img and all(type(v) is Fraction for v in img.values())
-        # α and i′ only move entries, so every value keeps its type.
-        for x in ({(1, 0): 1, (2, 3): 2}, {(1, 0): F(1, 2), (2, 3): F(2)}):
-            for img in (maps.alpha(x), maps.i_prime(x)):
+        # α, i′ and β only move and add entries, so every value keeps its type.
+        for x in ({(1, 0): 1, (2, 3): 2, (0, 2): 2},
+                  {(1, 0): F(1, 2), (2, 3): F(2), (0, 2): F(2)}):
+            for img in (maps.alpha(x), maps.i_prime(x), maps.beta(x)):
                 assert img and {type(v) for v in img.values()} == {type(v) for v in x.values()}
 
     @pytest.mark.parametrize("n,source", [(2, "path"), (3, "path"), (3, "ag")])

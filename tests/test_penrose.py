@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+from kostantcheck.checks import _random_tensor
 from kostantcheck.gla import graded_sl
 from kostantcheck.kostant import Cochain, hodge, partial
 from kostantcheck.penrose import (
@@ -48,8 +49,10 @@ F = Fraction
 
 
 def random_tensor(sig, n: int, rng: random.Random) -> EFTensor:
+    """The reference draw: one randint(−9, 9) per index tuple, in product
+    order over the slot ranges, zero draws included."""
     t = EFTensor(sig, n)
-    for idx in itertools.product(*[range(t.slot_dim(k)) for k in range(len(sig))]):
+    for idx in itertools.product(*[range(d) for d in t.dims]):
         t.add_entry(idx, rng.randint(-9, 9))
     return t
 
@@ -66,11 +69,44 @@ def random_cochain(alg, rng: random.Random, terms: int = 8) -> Cochain:
 class TestEFTensor:
     def test_slot_dimensions_and_bounds(self) -> None:
         t = EFTensor(("E", "F*"), 3)
-        assert t.slot_dim(0) == 2 and t.slot_dim(1) == 3
+        assert t.dims == (2, 3)
         with pytest.raises(ValueError):
             t.add_entry((2, 0), 1)
         with pytest.raises(ValueError):
             t.add_entry((0, 3), 1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dims_of_every_signature(self, n: int) -> None:
+        assert EFTensor(TAU_SIG, n).dims == (2, n, 2, n, n, 2)
+        assert EFTensor(W_SIG, n).dims == (2, n, 2, n, 2, 2)
+        assert EFTensor(WP_SIG, n).dims == (2, n, 2, n, n, n)
+        assert EFTensor(Y_SIG, n).dims == (2, n, 2, n, 2, n)
+        assert EFTensor(TRACE_SIG, n).dims == (2, n, 2, n)
+
+    @pytest.mark.parametrize("idx", [(0,), (0, 0, 0), (-1, 0), (2, 0), (0, -1), (0, 3)],
+                             ids=["short", "long", "E-negative", "E-at-dim",
+                                  "F-negative", "F-at-dim"])
+    @pytest.mark.parametrize("value", [1, F(1, 2), 0])
+    def test_every_entry_is_bounds_checked(self, idx, value) -> None:
+        """Wrong lengths and indices outside 0..dims[k]−1 raise through
+        add_entry and the data constructor alike, zero values too."""
+        t = EFTensor(("E", "F*"), 3)
+        with pytest.raises(ValueError):
+            t.add_entry(idx, value)
+        with pytest.raises(ValueError):
+            EFTensor(("E", "F*"), 3, {idx: value})
+        assert t.is_zero()
+        t.add_entry((1, 2), value)
+        assert t.data == ({(1, 2): value} if value else {})
+
+    @pytest.mark.parametrize("sig", [TRACE_SIG, W_SIG, WP_SIG], ids=["trace", "W", "Wp"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_checks_draw_matches_the_reference(self, sig, n: int) -> None:
+        """The sampler behind rho-ricci makes the reference draws: same
+        entries, and the same number of draws, zeros included."""
+        ours, ref = random.Random(n), random.Random(n)
+        assert _random_tensor(sig, n, ours) == random_tensor(sig, n, ref)
+        assert ours.getstate() == ref.getstate()
 
     def test_contraction_requires_dual_pair(self) -> None:
         t = EFTensor(("E", "E*", "F"), 2)
@@ -111,7 +147,10 @@ class TestEFTensor:
                     expected.add_entry(idx, coeff * v)
                 got = x.add(y, coeff)
                 assert got.data == expected.data
-                assert all(type(v) is Fraction and v for v in got.data.values())
+                # int entries stay int; an entry touched by a Fraction coeff is a Fraction.
+                assert all(v and type(v) is (Fraction if type(coeff) is Fraction
+                                             and idx in y.data else int)
+                           for idx, v in got.data.items())
                 assert got.sub(y).data == x.add(y, coeff - 1).data
             before = dict(s.data)
             s.add(o, coeff)

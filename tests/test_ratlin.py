@@ -16,7 +16,6 @@ import pytest
 
 from kostantcheck.ratlin import (
     Subspace,
-    frac,
     kernel_basis,
     mat_vec,
     null_space,
@@ -54,12 +53,6 @@ def det_cofactor(mat: list[list[Fraction]]) -> Fraction:
 
 def random_matrix(rng: random.Random, nrows: int, ncols: int) -> list[list[Fraction]]:
     return [[F(rng.randint(-9, 9)) for _ in range(ncols)] for _ in range(nrows)]
-
-
-def test_frac_coercion() -> None:
-    assert frac(3) == F(3)
-    assert frac("2/7") == F(2, 7)
-    assert frac(F(5, 4)) == F(5, 4)
 
 
 def test_rref_frozen_example() -> None:
