@@ -395,40 +395,39 @@ def _path_pair_type(n: int, T: tuple[int, int]) -> tuple[str, str]:
     return tuple(sorted((types[T[0]], types[T[1]])))  # type: ignore[return-value]
 
 
+#: The pair types of the (1,1,n) grading's degree-2 tuples.
+_PATH_PAIR_TYPES = (("2", "2"), ("2", "E"), ("2", "V"), ("E", "V"), ("V", "V"))
+
+
+def _path_module(name: str, n: int,
+                 values_by_pair_type: dict[tuple[str, str], Sequence[int]]) -> ChainModule:
+    """⊕_T Z_T ⊗ span{basis_v : v ∈ values_by_pair_type[type of T]} in the
+    degree-2 chains of the (1,1,n) grading; absent pair types are zero."""
+    return ChainModule.from_values(
+        name, graded_sl((1, 1, n)), 2,
+        lambda T: values_by_pair_type.get(_path_pair_type(n, T), ()))
+
+
 @lru_cache(maxsize=None)
 def module_F_path(n: int) -> ChainModule:
     """𝔽 = (q_1^V∧q_2 ⊗ A) ⊕ (q_1^E∧q_2 ⊗ B) ⊕ (q_2∧q_2 ⊗ B)."""
     g = graded_sl((1, 1, n))
     a_idx, b_idx = a_indices(g), b_indices(g)
-    labels = []
-    for T in chain_tuples(g, 2):
-        tp = _path_pair_type(n, T)
-        if tp == ("2", "V"):
-            labels.extend((T, v) for v in a_idx)
-        elif tp in (("2", "E"), ("2", "2")):
-            labels.extend((T, v) for v in b_idx)
-    return ChainModule.from_labels("F-path", g, 2, labels)
+    return _path_module("F-path", n, {("2", "V"): a_idx, ("2", "E"): b_idx, ("2", "2"): b_idx})
 
 
 @lru_cache(maxsize=None)
 def module_E_path(n: int) -> ChainModule:
     """𝔼 = (q_1^V ⊕ q_2)∧q_2 ⊗ A."""
-    g = graded_sl((1, 1, n))
-    a_idx = a_indices(g)
-    labels = [(T, v) for T in chain_tuples(g, 2)
-              if _path_pair_type(n, T) in (("2", "V"), ("2", "2"))
-              for v in a_idx]
-    return ChainModule.from_labels("E-path", g, 2, labels)
+    a_idx = a_indices(graded_sl((1, 1, n)))
+    return _path_module("E-path", n, {("2", "V"): a_idx, ("2", "2"): a_idx})
 
 
 @lru_cache(maxsize=None)
 def module_no_vv_path(n: int) -> ChainModule:
     """The chains with no Λ²q_1^V component."""
-    g = graded_sl((1, 1, n))
-    return ChainModule.from_labels(
-        "no-V-V", g, 2,
-        [(T, v) for T in chain_tuples(g, 2)
-         if _path_pair_type(n, T) != ("V", "V") for v in range(g.dim)])
+    every = range(graded_sl((1, 1, n)).dim)
+    return _path_module("no-V-V", n, {tp: every for tp in _PATH_PAIR_TYPES if tp != ("V", "V")})
 
 
 @lru_cache(maxsize=None)
@@ -436,21 +435,15 @@ def module_rho_path(n: int, semisimple: bool = False) -> ChainModule:
     """q_1^V∧q_2 ⊗ q_0, or ⊗ q_0^{ss} when ``semisimple``."""
     g = graded_sl((1, 1, n))
     values = q0ss_indices(g) if semisimple else q0_indices(g)
-    return ChainModule.from_labels(
-        "V-2-q0ss" if semisimple else "V-2-q0", g, 2,
-        [(T, v) for T in chain_tuples(g, 2)
-         if _path_pair_type(n, T) == ("2", "V") for v in values])
+    return _path_module("V-2-q0ss" if semisimple else "V-2-q0", n, {("2", "V"): values})
 
 
 @lru_cache(maxsize=None)
 def module_constrained_path(n: int) -> ChainModule:
     """{φ ∈ Λ²q_+ ⊗ B : φ(q_{-1}^E, q_{-1}^V) = 0}."""
-    g = graded_sl((1, 1, n))
-    b_idx = b_indices(g)
-    labels = [(T, v) for T in chain_tuples(g, 2)
-              if _path_pair_type(n, T) != ("E", "V")
-              for v in b_idx]
-    return ChainModule.from_labels("normality-domain", g, 2, labels)
+    b_idx = b_indices(graded_sl((1, 1, n)))
+    return _path_module("normality-domain", n,
+                        {tp: b_idx for tp in _PATH_PAIR_TYPES if tp != ("E", "V")})
 
 
 def _n2_dual_indices(gt: GradedSL) -> list[int]:
@@ -475,18 +468,16 @@ def _n2_value_indices(gt: GradedSL) -> list[int]:
 def module_E(n: int) -> ChainModule:
     """𝔼 = ñ_2 ⊗ ñ^{1,F} inside the degree-1 chains of the (2, n+1) grading."""
     gt = graded_sl((2, n + 1))
-    labels = [((j,), v) for j in _n2_dual_indices(gt)
-              for v in _n1f_value_indices(gt)]
-    return ChainModule.from_labels("E-module", gt, 1, labels)
+    n2_dual, n1f = set(_n2_dual_indices(gt)), _n1f_value_indices(gt)
+    return ChainModule.from_values("E-module", gt, 1, lambda T: n1f if T[0] in n2_dual else ())
 
 
 @lru_cache(maxsize=None)
 def module_E2(n: int) -> ChainModule:
     """𝔼⁽²⁾ = ñ_2 ⊗ ñ_2 = 𝔼 ∩ (p̃_1 ⊗ p̃_1)."""
     gt = graded_sl((2, n + 1))
-    labels = [((j,), v) for j in _n2_dual_indices(gt)
-              for v in _n2_value_indices(gt)]
-    return ChainModule.from_labels("E2-module", gt, 1, labels)
+    n2_dual, n2 = set(_n2_dual_indices(gt)), _n2_value_indices(gt)
+    return ChainModule.from_values("E2-module", gt, 1, lambda T: n2 if T[0] in n2_dual else ())
 
 
 @lru_cache(maxsize=None)
@@ -513,24 +504,29 @@ def module_F(n: int) -> ChainModule:
 
 
 def _constrained_module(module: ChainModule, name: str,
-                        residual: Callable[[Cochain], dict[Hashable, Fraction]]
+                        conditions: Callable[[tuple[int, ...], int],
+                                             dict[Hashable, int | Fraction]]
                         ) -> ChainModule:
-    """Kernel of a linear condition inside a ChainModule, weight block by block.
+    """Kernel of linear conditions inside a ChainModule, weight block by block.
 
-    ``residual`` returns the nonzero entries of a cochain's residual, keyed
-    by condition.  Each block's kernel problem has one row per condition that
-    some basis element violates; a block that violates none keeps its space.
+    ``conditions(T, v)`` returns the nonzero coefficients of the chain-basis
+    element Z_T ⊗ basis_v in the conditions, keyed by condition.  Each
+    block's kernel problem is the label-coefficient matrix (one row per
+    condition that a label there meets, one column per label) times the
+    module's basis rows, solved by one null space; a block whose basis meets
+    no condition keeps its space.
     """
+    structure = block_structure(module.alg.blocks, module.deg)
     spaces: dict[tuple[int, ...], Subspace] = {}
     for w in sorted(module.spaces):
         space = module.spaces[w]
-        residuals = [residual(cochain_from_block(module.alg, module.deg, w, row))
-                     for row in space.rows]
-        violated = sorted({key for res in residuals for key in res})
-        if not violated:
+        coeffs = [conditions(T, v) for T, v in structure.labels[w]]
+        keys = sorted({key for cf in coeffs for key in cf})
+        mat = block_product([[cf.get(key, 0) for cf in coeffs] for key in keys],
+                            list(zip(*space.rows)), space.dim)
+        if not any(map(any, mat)):
             spaces[w] = space
             continue
-        mat = [[res.get(key, 0) for res in residuals] for key in violated]
         sub = space.combinations(null_space(mat, space.dim))
         if sub.dim:
             spaces[w] = sub
@@ -905,13 +901,11 @@ def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
     cls_g = Subspace(gt.dim_neg, [gt.class_mod_p(maps.i_prime(g.basis_mat(i)))
                                   for i in range(g.dim)])
 
-    amb1 = ChainModule.from_labels(
-        "p̃_+⊗n1F", gt, 1,
-        [((j,), v) for j in range(gt.dim_neg) for v in _n1f_value_indices(gt)])
+    n1f = _n1f_value_indices(gt)
+    amb1 = ChainModule.from_values("p̃_+⊗n1F", gt, 1, lambda T: n1f)
 
-    def resid_e(c: Cochain) -> dict[tuple[int, int], Fraction]:
-        return {(r, idx): cf for r, row in enumerate(cls_p.rows)
-                for idx, cf in gt.sparse_coords(_eval1(c, row))}
+    def resid_e(T: tuple[int], v: int) -> dict[tuple[int, int], Fraction]:
+        return {(r, v): row[T[0]] for r, row in enumerate(cls_p.rows) if row[T[0]]}
 
     e_cond = _constrained_module(amb1, "E-conditions", resid_e)
     chk.check(e_cond.same_space(e_mod),
@@ -919,7 +913,7 @@ def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
 
     amb2 = ChainModule.from_tensor("Λ²p̃_+⊗[g̃,n1F]", gt, 2,
                                    ((T, bracket_n1F_space(n)) for T in chain_tuples(gt, 2)))
-    n1f_idx = set(_n1f_value_indices(gt))
+    n1f_idx = set(n1f)
 
     # ψ(i'p, i'p) = 0 on every coordinate, ψ(i'p, i'g) = 0 off n1F.
     rows_p = cls_p.rows
@@ -928,12 +922,15 @@ def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
              + [((1, i1, i2), r, s) for i1, r in enumerate(rows_p)
                 for i2, s in enumerate(cls_g.rows)])
 
-    tables = [(key, _wedge_table(r, s)) for key, r, s in pairs]
+    # The pair T's coefficient in each condition's wedge table.
+    table = {}
+    for key, r, s in pairs:
+        for st, cf in _wedge_table(r, s).items():
+            table.setdefault(st, []).append((key, cf))
 
-    def resid_f(c: Cochain) -> dict[tuple[int, int, int, int], Fraction]:
-        return {key + (idx,): cf for key, table in tables
-                for idx, cf in gt.sparse_coords(_eval2_table(c, table))
-                if key[0] == 0 or idx not in n1f_idx}
+    def resid_f(T: tuple[int, int], v: int) -> dict[tuple[int, int, int, int], Fraction]:
+        return {key + (v,): cf for key, cf in table.get(T, ())
+                if key[0] == 0 or v not in n1f_idx}
 
     f_cond = _constrained_module(amb2, "F-conditions", resid_f)
     chk.check(f_cond.same_space(f_mod),
@@ -949,9 +946,8 @@ def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
                 ok_stab = False
     chk.check(ok_stab, "[i'(p), n1F] not contained in n1F")
 
-    pos_valued = ChainModule.from_labels(
-        "p̃_1-valued", gt, 1,
-        [((j,), v) for j in range(gt.dim_neg) for v in _n2_value_indices(gt)])
+    n2 = _n2_value_indices(gt)
+    pos_valued = ChainModule.from_values("p̃_1-valued", gt, 1, lambda T: n2)
     chk.check(e_mod.intersect(pos_valued).same_space(e2_mod),
               "E ∩ (p̃_1⊗p̃_1) differs from E2")
 
@@ -1021,6 +1017,9 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
                      if (r, c) not in allowed]
         return null_space(_entry_rows(maps._images, forbidden), g.dim)
 
+    # Rows 0–1, columns ≥ 2: q_1^V ⊕ q_2 for the path source, p_+ for the AG one.
+    p_plus_space = coordinate_subspace(
+        g, [g.index_of_position[(r, c)] for r in range(2) for c in range(2, g.m)])
     if source == "path":
         for v in a_indices(g):
             img = maps.i_prime(g.basis_mat(v))
@@ -1033,10 +1032,7 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
             chk.check(all(c >= 1 for (_, c) in img),
                       f"i'(B) hits the first column at basis {v}")
         fine_pos = preimage(set(maps.gt_fine.pos_positions))
-        expected = coordinate_subspace(
-            g, [g.index_of_position[(r, c)] for r in range(2)
-                for c in range(2, g.m)])
-        chk.check(fine_pos == expected,
+        chk.check(fine_pos == p_plus_space,
                   "i'^{-1}(p̃_+) differs from q_1^V ⊕ q_2")
         details["positive_preimage_dim"] = fine_pos.dim
     else:
@@ -1067,11 +1063,8 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
                        for c in range(gt.m)]
             chk.check(not any(v_image[:3]),
                       f"v·n1F outside (0,0,0,ℝⁿ) at position {pos}")
-        p_plus = preimage(set(maps.n1F_positions))
-        expected = coordinate_subspace(
-            g, [g.index_of_position[(r, c)] for r in range(2)
-                for c in range(2, g.m)])
-        chk.check(p_plus == expected, "i'^{-1}(n1F) differs from p_+")
+        chk.check(preimage(set(maps.n1F_positions)) == p_plus_space,
+                  "i'^{-1}(n1F) differs from p_+")
         for r in range(2):
             for c in range(2, g.m):
                 img = maps.i_prime(elementary(r, c))
@@ -1153,14 +1146,8 @@ def verify_harmonic_types(n: int, source: str) -> Report:
     harm = hodge((1, 1, n), 2).ker_box
     v_values = [g.index_of_position[pos] for pos in g.neg_positions
                 if pos[1] == 1]
-    tau_amb = ChainModule.from_labels(
-        "E-2-V", g, 2,
-        [(T, v) for T in chain_tuples(g, 2)
-         if _path_pair_type(n, T) == ("2", "E") for v in v_values])
-    iota_amb = ChainModule.from_labels(
-        "V-V-g", g, 2,
-        [(T, v) for T in chain_tuples(g, 2)
-         if _path_pair_type(n, T) == ("V", "V") for v in range(g.dim)])
+    tau_amb = _path_module("E-2-V", n, {("2", "E"): v_values})
+    iota_amb = _path_module("V-V-g", n, {("V", "V"): range(g.dim)})
     tau_part = harm.intersect(tau_amb, "tau-part")
     rho_part = harm.intersect(module_rho_path(n), "rho-part")
     iota_part = harm.intersect(iota_amb, "involutivity-part")

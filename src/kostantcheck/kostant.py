@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .gla import (
     GradedSL,
@@ -466,8 +466,9 @@ class ChainModule:
     intersections exact and cheap even when the ambient chain space has
     thousands of coordinates.  A tensor module ⊕_T Z_T ⊗ B_T, each B_T ⊆ g
     spanned by weight vectors, gets them by construction (:meth:`from_tensor`;
-    :meth:`from_labels` is the coordinate case): block labels run T-major, so
-    the rows of each B_T placed at the labels (T, v) are the canonical rows.
+    :meth:`from_values` is the coordinate case, each B_T spanned by basis
+    elements): block labels run T-major, so the rows of each B_T placed at
+    the labels (T, v) are the canonical rows.
     """
 
     def __init__(self, name: str, alg: GradedSL, deg: int,
@@ -517,15 +518,23 @@ class ChainModule:
                                     for w, vecs in rows.items()})
 
     @classmethod
-    def from_labels(cls, name: str, alg: GradedSL, deg: int,
-                    labels: Iterable[tuple[tuple[int, ...], int]]) -> "ChainModule":
-        """Coordinate submodule spanned by chain-basis labels (T, v)."""
-        values: dict[tuple[int, ...], set[int]] = {}
-        for T, v in labels:
-            values.setdefault(T, set()).add(v)
-        factors = {vs: coordinate_subspace(alg, vs) for vs in set(map(frozenset, values.values()))}
-        return cls.from_tensor(name, alg, deg,
-                               [(T, factors[frozenset(vs)]) for T, vs in values.items()])
+    def from_values(cls, name: str, alg: GradedSL, deg: int,
+                    values_of: Callable[[tuple[int, ...]], Iterable[int]]) -> "ChainModule":
+        """⊕_T Z_T ⊗ span{basis_v : v ∈ values_of(T)} over the degree-``deg``
+        tuples T, with one :func:`coordinate_subspace` per distinct value set.
+        A value index outside ``range(alg.dim)`` is a ``ValueError``."""
+        factors: dict[frozenset[int], Subspace] = {}
+        parts = []
+        for T in chain_tuples(alg, deg):
+            values = frozenset(values_of(T))
+            if not values:
+                continue
+            if values not in factors:
+                if not all(0 <= v < alg.dim for v in values):
+                    raise ValueError(f"a value index at {T} is not a basis index of g")
+                factors[values] = coordinate_subspace(alg, values)
+            parts.append((T, factors[values]))
+        return cls.from_tensor(name, alg, deg, parts)
 
     @property
     def dim(self) -> int:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .gla import GradedSL, graded_sl, smat_add_into
-from .kostant import ChainModule, Cochain, chain_tuples, hodge
+from .kostant import ChainModule, Cochain, hodge
 
 TAU_SIG = ("E", "F*", "E", "F*", "F", "E*")
 W_SIG = ("E", "F*", "E", "F*", "E", "E*")
@@ -261,15 +261,16 @@ class SymSplit:
 def sym_split(t: EFTensor) -> SymSplit:
     if t.sig != TRACE_SIG:
         raise ValueError("symmetry split needs the (E, F*, E, F*) signature")
-    half = Fraction(1, 2)
-    sym_e = t.add(t.swap(0, 2)).scale(half)
-    skew_e = t.add(t.swap(0, 2), -1).scale(half)
-    return SymSplit(
-        sym_sym=sym_e.add(sym_e.swap(1, 3)).scale(half),
-        skew_skew=skew_e.add(skew_e.swap(1, 3), -1).scale(half),
-        sym_skew=sym_e.add(sym_e.swap(1, 3), -1).scale(half),
-        skew_sym=skew_e.add(skew_e.swap(1, 3)).scale(half),
-    )
+    t02, t13 = t.swap(0, 2), t.swap(1, 3)
+    t0213 = t02.swap(1, 3)
+
+    def part(e: int, f: int) -> EFTensor:
+        """(t + e·t₀₂ + f·t₁₃ + ef·t₀₂₁₃)/4: symmetric (e = 1) or skew (e = −1)
+        in the E slots, and likewise by f in the F* slots."""
+        return t.add(t02, e).add(t13, f).add(t0213, e * f).scale(Fraction(1, 4))
+
+    return SymSplit(sym_sym=part(1, 1), skew_skew=part(-1, -1),
+                    sym_skew=part(1, -1), skew_sym=part(-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +305,20 @@ def weyl_from_curvature(r_e: EFTensor, r_f: EFTensor, p: EFTensor) -> tuple[EFTe
     if r_e.sig != W_SIG or r_f.sig != WP_SIG or p.sig != TRACE_SIG:
         raise ValueError("signature mismatch in the Weyl block expansion")
     n = p.n
-    w = EFTensor(W_SIG, n, r_e.data)
-    wp = EFTensor(WP_SIG, n, r_f.data)
+    # The δ-terms, accumulated apart and added to the curvatures once.
+    delta_w, delta_wp = EFTensor(W_SIG, n), EFTensor(WP_SIG, n)
     for (p0, p1, p2, p3), v in p.data.items():
         for b in range(2):
             # read the entry as P^A_{A'}{}^C_{B'}: δ^B_D term of W
-            w.add_entry((p0, p1, b, p3, p2, b), v)
+            delta_w.add_entry((p0, p1, b, p3, p2, b), v)
             # read the entry as P^B_{B'}{}^C_{A'}: −δ^A_D term of W
-            w.add_entry((b, p3, p0, p1, p2, b), -v)
+            delta_w.add_entry((b, p3, p0, p1, p2, b), -v)
         for c in range(n):
             # read the entry as P^A_{A'}{}^B_{D'}: −δ^{C'}_{B'} term of W'
-            wp.add_entry((p0, p1, p2, c, c, p3), -v)
+            delta_wp.add_entry((p0, p1, p2, c, c, p3), -v)
             # read the entry as P^B_{B'}{}^A_{D'}: +δ^{C'}_{A'} term of W'
-            wp.add_entry((p2, c, p0, p1, c, p3), v)
-    return w, wp
+            delta_wp.add_entry((p2, c, p0, p1, c, p3), v)
+    return r_e.add(delta_w), r_f.add(delta_wp)
 
 
 def rho_cochain(p: EFTensor, alg: GradedSL) -> Cochain:
@@ -337,19 +338,6 @@ def rho_cochain(p: EFTensor, alg: GradedSL) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
-def _negative_valued_module(alg: GradedSL) -> ChainModule:
-    labels = [(T, v) for T in chain_tuples(alg, 2) for v in range(alg.dim_neg)]
-    return ChainModule.from_labels("negative-valued", alg, 2, labels)
-
-
-def _degree_zero_valued_module(alg: GradedSL) -> ChainModule:
-    value_idx = [i for i, lab in enumerate(alg.basis_labels)
-                 if lab[0] == "H"
-                 or alg.degree_of_position(lab[1], lab[2]) == 0]
-    labels = [(T, v) for T in chain_tuples(alg, 2) for v in value_idx]
-    return ChainModule.from_labels("degree-0-valued", alg, 2, labels)
-
-
 def check_harmonic_torsion_type(n: int) -> dict[str, object]:
     """Typing of the degree-2 harmonic space of the (2, n) grading.
 
@@ -360,8 +348,12 @@ def check_harmonic_torsion_type(n: int) -> dict[str, object]:
     """
     alg = graded_sl((2, n))
     harm = hodge((2, n), 2).ker_box
-    tau_part = harm.intersect(_negative_valued_module(alg), "tau-part")
-    rho_part = harm.intersect(_degree_zero_valued_module(alg), "rho-part")
+    # The basis lists g_-, then g_+, then the degree-0 part.
+    negative, degree_zero = range(alg.dim_neg), range(2 * alg.dim_neg, alg.dim)
+    tau_part = harm.intersect(
+        ChainModule.from_values("negative-valued", alg, 2, lambda T: negative), "tau-part")
+    rho_part = harm.intersect(
+        ChainModule.from_values("degree-0-valued", alg, 2, lambda T: degree_zero), "rho-part")
     failures: list[str] = []
     if tau_part.dim + rho_part.dim != harm.dim:
         failures.append("harmonic space is not the sum of its two typed parts")

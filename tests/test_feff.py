@@ -215,7 +215,7 @@ class TestNamedModules:
 
 def spanning_route(monkeypatch, builder, *args) -> ChainModule:
     """``builder(*args)`` uncached, with every tensor module (every
-    ``from_labels`` module included) eliminated from its spanning cochains
+    ``from_values`` module included) eliminated from its spanning cochains
     Z_T ⊗ b, one per row b of each factor B_T."""
     def by_elimination(cls, name, alg, deg, parts):
         return cls.from_cochains(name, alg, deg, [Cochain(alg, deg, {T: alg.from_coords(row)})
@@ -229,9 +229,8 @@ def spanning_route(monkeypatch, builder, *args) -> ChainModule:
 def norm_ambients(n: int) -> tuple:
     """The two ambient modules of the condition sets in ``norm-modules``."""
     gt = graded_sl((2, n + 1))
-    return (ChainModule.from_labels(
-                "p̃_+⊗n1F", gt, 1, [((j,), v) for j in range(gt.dim_neg)
-                                   for v in feff._n1f_value_indices(gt)]),
+    n1f = feff._n1f_value_indices(gt)
+    return (ChainModule.from_values("p̃_+⊗n1F", gt, 1, lambda T: n1f),
             ChainModule.from_tensor("Λ²p̃_+⊗[g̃,n1F]", gt, 2,
                                     [(T, bracket_n1F_space(n)) for T in chain_tuples(gt, 2)]))
 
@@ -256,10 +255,15 @@ class TestTensorModules:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_path_modules(self, n, monkeypatch) -> None:
+        g = graded_sl((1, 1, n))
+        v_values = [g.index_of_position[pos] for pos in g.neg_positions if pos[1] == 1]
         for builder, args in [(module_F_path, (n,)), (module_E_path, (n,)),
                               (feff.module_no_vv_path, (n,)), (feff.module_rho_path, (n,)),
                               (feff.module_rho_path, (n, True)),
-                              (module_constrained_path, (n,))]:
+                              (module_constrained_path, (n,)),
+                              # the two ambients of harmonic-types
+                              (feff._path_module, ("E-2-V", n, {("2", "E"): v_values})),
+                              (feff._path_module, ("V-V-g", n, {("V", "V"): range(g.dim)}))]:
             self.assert_same_rows(builder(*args), spanning_route(monkeypatch, builder, *args))
 
     def test_rejects_mixed_weights_and_repeated_tuples(self) -> None:
@@ -338,21 +342,25 @@ def dense_constrained_module(module, name, residual):
 
 
 class TestConstrainedModule:
-    """The sparse kernel problem against the dense reference, on linear
+    """The label-wise kernel problem against the dense reference, on linear
     conditions given as sparse functionals of the block coordinates (w, i)."""
 
     @staticmethod
-    def residuals(conditions):
-        """The sparse and the dense residual of a list of conditions."""
+    def residuals(module, conditions):
+        """The label-wise coefficients and the dense residual of a list of
+        conditions."""
+        pos_of = block_structure(module.alg.blocks, module.deg).pos_of
+
+        def labelwise(T: tuple, v: int) -> dict:
+            at = pos_of[(T, v)]
+            return {k: cond[at] for k, cond in enumerate(conditions) if at in cond}
+
         def dense(c: Cochain) -> list:
             coords = blocked_coords(c)
             return [sum((cf * coords[w][i] for (w, i), cf in cond.items() if w in coords), 0)
                     for cond in conditions]
 
-        def sparse(c: Cochain) -> dict:
-            return {k: v for k, v in enumerate(dense(c)) if v}
-
-        return sparse, dense
+        return labelwise, dense
 
     @pytest.mark.parametrize("builder", [module_E, module_F])
     def test_matches_the_dense_reference(self, builder) -> None:
@@ -375,8 +383,8 @@ class TestConstrainedModule:
             cases += [(conditions + extra, None)
                       for extra in ([], [nothing], [everything], [nothing, everything])]
         for conditions, expected_dim in cases:
-            sparse, dense = self.residuals(conditions)
-            got = _constrained_module(module, "sparse", sparse)
+            labelwise, dense = self.residuals(module, conditions)
+            got = _constrained_module(module, "labelwise", labelwise)
             want = dense_constrained_module(module, "dense", dense)
             assert got.spaces.keys() == want.spaces.keys()
             for w, space in want.spaces.items():
@@ -665,6 +673,16 @@ class TestVerificationSweeps:
             "harmonic_nonvv_dim": 8, "rho_harmonic_dim": 5,
             "rho_ker_costar_dim": 12, "rho_ker_costar_ss_valued": False,
         }
+
+    def test_norm_modules_builds_no_cochain_per_basis_row(self, monkeypatch) -> None:
+        """The condition kernels of norm-modules read label coefficients, not
+        cochains built from module basis rows."""
+        def refuse(*args):
+            raise AssertionError("norm-modules built a cochain from a block vector")
+
+        monkeypatch.setattr(feff, "cochain_from_block", refuse)
+        rep = run_check("norm-modules", 3, 1, 1)
+        assert rep.ok and rep.cases == 707
 
     def test_norm_modules_frozen(self) -> None:
         rep = verify_norm_modules(3)

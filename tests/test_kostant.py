@@ -661,8 +661,8 @@ class TestBlocksAndModules:
 
     def test_chain_module_membership_and_basis(self) -> None:
         alg = graded_sl((1, 1, 2))
-        labels = [((0, 1), v) for v in range(alg.dim)]
-        mod = ChainModule.from_labels("slice", alg, 2, labels)
+        mod = ChainModule.from_values("slice", alg, 2,
+                                      lambda T: range(alg.dim) if T == (0, 1) else ())
         assert mod.dim == alg.dim
         member = Cochain(alg, 2, {(0, 1): {(0, 2): F(3), (1, 0): F(-2)}})
         assert mod.contains(member)
@@ -671,6 +671,12 @@ class TestBlocksAndModules:
         rebuilt = ChainModule.from_cochains("re", alg, 2, mod.basis_cochains())
         assert rebuilt.same_space(mod)
         assert mod.is_contained_in(rebuilt)
+
+    def test_from_values_rejects_value_indices_outside_g(self) -> None:
+        alg = graded_sl((1, 1, 2))
+        for bad in (-1, alg.dim):
+            with pytest.raises(ValueError, match="not a basis index"):
+                ChainModule.from_values("bad", alg, 2, lambda T: (0, bad) if T == (0, 2) else ())
 
     def test_cochain_from_block_keeps_integral_values_int(self) -> None:
         """Integral coordinates, int or Fraction, are stored as int; the
@@ -693,8 +699,8 @@ class TestBlocksAndModules:
 
     def test_chain_module_lattice(self) -> None:
         alg = graded_sl((1, 1, 2))
-        u = ChainModule.from_labels("u", alg, 2, [((0, 1), 0), ((0, 1), 1)])
-        v = ChainModule.from_labels("v", alg, 2, [((0, 1), 1), ((0, 2), 0)])
+        u = ChainModule.from_values("u", alg, 2, lambda T: {(0, 1): (0, 1)}.get(T, ()))
+        v = ChainModule.from_values("v", alg, 2, lambda T: {(0, 1): (1,), (0, 2): (0,)}.get(T, ()))
         meet = u.intersect(v)
         join = u.sum_with(v)
         assert meet.dim == 1 and join.dim == 3
