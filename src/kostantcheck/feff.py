@@ -520,7 +520,7 @@ def _constrained_module(module: ChainModule, name: str,
     spaces: dict[tuple[int, ...], Subspace] = {}
     for w in sorted(module.spaces):
         space = module.spaces[w]
-        coeffs = [conditions(T, v) for T, v in structure.labels[w]]
+        coeffs = [conditions(T, v) for T, v in structure.labels(w)]
         keys = sorted({key for cf in coeffs for key in cf})
         mat = block_product([[cf.get(key, 0) for cf in coeffs] for key in keys],
                             list(zip(*space.rows)), space.dim)

@@ -32,6 +32,9 @@ written on that representation:
 Both operators commute with the torus of diagonal matrices, so every
 linear-algebra question is solved block-per-weight; chain spaces of a few
 thousand dimensions then decompose into blocks of at most a few dozen.
+``BlockStructure`` holds that layout as integer arrays over label ids
+g = k·dim g + v, one per chain-basis element Z_T ⊗ basis_v with T the k-th
+tuple, so its memory is a few bytes per label and no (T, v) object is kept.
 One table of terms, ``_exterior_table``, defines both operators: the tuple
 and sign of every term on each Z_T.  ``partial`` and ``costar`` apply it to
 cochains, and ``operator_block`` reads it, with the algebra's bracket
@@ -46,6 +49,7 @@ operators and every block column.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -399,32 +403,74 @@ class BlockStructure:
     Coordinates are labeled (T, v) with T an increasing tuple and v an index
     into the fixed sl(m) basis; the weight of the label is the weight of
     Z_{t_1}∧…∧Z_{t_k} ⊗ basis_v.  Both ∂ and ∂* preserve this grading.
+
+    A label is stored as its id g = k·dim g + v, where k = ``index[T]`` is
+    the position of T in ``tuples`` (:func:`chain_tuples`).  ``weights``
+    lists the blocks in order of first appearance over the ids, and
+    ``members[w]`` the ids of block w in increasing order, so labels run
+    T-major within a block.  ``block_of[g]`` is the position in ``weights``
+    of g's block and ``slot[g]`` the position of g in it.  The weights of
+    the labels at T are computed once per distinct weight of Z_T.  No
+    per-label object is kept: the three integer arrays take 12 bytes per
+    label, where a (T, v) tuple and a dict entry would take over 100, and
+    the degree-3 chain spaces at n = 6–8 have 10⁵ labels and more each
+    (312,000 for (2, 1, 8)).  :meth:`labels` decodes a block's (T, v) on
+    demand.
     """
 
     def __init__(self, alg: GradedSL, deg: int) -> None:
         self.alg = alg
         self.deg = deg
-        labels: dict[Weight, list[tuple[tuple[int, ...], int]]] = {}
-        for T in chain_tuples(alg, deg):
+        self.tuples = chain_tuples(alg, deg)
+        self.index = {T: k for k, T in enumerate(self.tuples)}
+        self.weights: list[Weight] = []
+        self.members: dict[Weight, array] = {}
+        self.block_of = array("i", [0]) * (len(self.tuples) * alg.dim)
+        self.slot = array("i", [0]) * len(self.block_of)
+        # The weight of basis_v is e_a − e_b for E_ab and 0 for H.
+        value_shifts = [(lab[1], lab[2]) if lab[0] == "E" else None
+                        for lab in alg.basis_labels]
+        number_of: dict[Weight, int] = {}
+        # Z_T weight ↦ the block number of each label (T, v), in v order.
+        numbers_at: dict[Weight, list[int]] = {}
+        member_ids: list[array] = []
+        block_of, slot = self.block_of, self.slot
+        for k, T in enumerate(self.tuples):
             base = [0] * alg.m
             for t in T:
                 a, b = alg.neg_positions[t]
                 base[b] += 1          # weight of Z_t = e_b − e_a
                 base[a] -= 1
-            for v, lab in enumerate(alg.basis_labels):
-                w = list(base)
-                if lab[0] == "E":
-                    w[lab[1]] += 1
-                    w[lab[2]] -= 1
-                labels.setdefault(tuple(w), []).append((T, v))
-        self.labels = labels
-        self.pos_of: dict[tuple[tuple[int, ...], int], tuple[Weight, int]] = {}
-        for w, labs in labels.items():
-            for i, tv in enumerate(labs):
-                self.pos_of[tv] = (w, i)
+            numbers = numbers_at.get(tuple(base))
+            if numbers is None:
+                numbers = numbers_at[tuple(base)] = []
+                for shift in value_shifts:
+                    w = list(base)
+                    if shift is not None:
+                        w[shift[0]] += 1
+                        w[shift[1]] -= 1
+                    w = tuple(w)
+                    if w not in number_of:
+                        number_of[w] = len(self.weights)
+                        self.weights.append(w)
+                        self.members[w] = array("i")
+                        member_ids.append(self.members[w])
+                    numbers.append(number_of[w])
+            g = k * alg.dim
+            for number in numbers:
+                ids = member_ids[number]
+                block_of[g] = number
+                slot[g] = len(ids)
+                ids.append(g)
+                g += 1
 
     def block_dim(self, w: Weight) -> int:
-        return len(self.labels.get(w, ()))
+        return len(self.members.get(w, ()))
+
+    def labels(self, w: Weight) -> list[tuple[tuple[int, ...], int]]:
+        """The labels (T, v) of block w, in block order."""
+        dim = self.alg.dim
+        return [(self.tuples[g // dim], g % dim) for g in self.members.get(w, ())]
 
 
 @lru_cache(maxsize=None)
@@ -435,21 +481,29 @@ def block_structure(blocks: tuple[int, ...], deg: int) -> BlockStructure:
 def blocked_coords(c: Cochain) -> dict[Weight, list[int | Fraction]]:
     """Coordinates of a cochain, one dense vector per weight block, as stored."""
     structure = block_structure(c.alg.blocks, c.deg)
-    out: dict[Weight, list[int | Fraction]] = {}
+    index, block_of, slot = structure.index, structure.block_of, structure.slot
+    weights, members, dim = structure.weights, structure.members, c.alg.dim
+    out: dict[int, list[int | Fraction]] = {}
     for T, u in c.data.items():
+        base = index[T] * dim
         for v, cf in c.alg.sparse_coords(u):
-            w, i = structure.pos_of[(T, v)]
-            out.setdefault(w, [0] * structure.block_dim(w))[i] = cf
-    return out
+            number = block_of[base + v]
+            vec = out.get(number)
+            if vec is None:
+                vec = out[number] = [0] * len(members[weights[number]])
+            vec[slot[base + v]] = cf
+    return {weights[number]: vec for number, vec in out.items()}
 
 
 def cochain_from_block(alg: GradedSL, deg: int, w: Weight, vec: Sequence) -> Cochain:
     """The cochain of block coordinates ``vec``, integral ones stored as ``int``."""
     structure = block_structure(alg.blocks, deg)
     out = Cochain(alg, deg)
-    for cf, (T, v) in zip(vec, structure.labels[w]):
+    for cf, g in zip(vec, structure.members[w]):
         if cf:
-            out.add_term(T, alg.basis_mat(v), cf.numerator if cf.denominator == 1 else cf)
+            k, v = divmod(g, alg.dim)
+            out.add_term(structure.tuples[k], alg.basis_mat(v),
+                         cf.numerator if cf.denominator == 1 else cf)
     return out
 
 
@@ -501,21 +555,30 @@ class ChainModule:
         if len({T for T, _ in parts}) != len(parts):
             raise ValueError("a tuple is repeated in a tensor module")
         structure = block_structure(alg.blocks, deg)
-        rows: dict[Weight, list[list[int]]] = {}
+        block_of, slot = structure.block_of, structure.slot
+        weights, members = structure.weights, structure.members
+        rows: dict[int, list[list[int]]] = {}
+        # The nonzero entries of each factor's rows; factors repeat over T.
+        entries: dict[int, list[list[tuple[int, int]]]] = {}
         for T, space in parts:
             if space.ambient != alg.dim:
                 raise ValueError("tensor factor is not a subspace of g")
-            for b in space.int_rows:
-                places = [(structure.pos_of[(T, v)], x) for v, x in enumerate(b) if x]
-                w = places[0][0][0]
-                if any(wv != w for (wv, _), _ in places):
+            if id(space) not in entries:
+                entries[id(space)] = [[(v, x) for v, x in enumerate(b) if x]
+                                      for b in space.int_rows]
+            base = structure.index[T] * alg.dim
+            for b in entries[id(space)]:
+                number = block_of[base + b[0][0]]
+                if any(block_of[base + v] != number for v, _ in b):
                     raise ValueError(f"a row of the factor at {T} mixes weights")
-                at = {i: x for (_, i), x in places}
-                rows.setdefault(w, []).append([at.get(i, 0) for i in range(structure.block_dim(w))])
+                row = [0] * len(members[weights[number]])
+                for v, x in b:
+                    row[slot[base + v]] = x
+                rows.setdefault(number, []).append(row)
         # Rows positive at their pivots: decreasing order is increasing pivot.
-        return cls(name, alg, deg, {w: Subspace.echelon(structure.block_dim(w),
-                                                        sorted(vecs, reverse=True))
-                                    for w, vecs in rows.items()})
+        return cls(name, alg, deg, {weights[number]: Subspace.echelon(len(vecs[0]),
+                                                                      sorted(vecs, reverse=True))
+                                    for number, vecs in rows.items()})
 
     @classmethod
     def from_values(cls, name: str, alg: GradedSL, deg: int,
@@ -604,16 +667,21 @@ def operator_block(structure_in: BlockStructure, structure_out: BlockStructure,
     alg = structure_in.alg
     action = alg.action_coords[0 if step == 1 else 1]
     table = _exterior_table(alg.blocks, structure_in.deg, step)
-    pos_of = structure_out.pos_of
-    cols = structure_in.labels.get(w, [])
-    mat = [[0] * len(cols) for _ in range(structure_out.block_dim(w))]
-    for col, (T, v) in enumerate(cols):
-        for x, S, sign in table[T]:
+    dim, tuples = alg.dim, structure_in.tuples
+    index, block_of, slot = structure_out.index, structure_out.block_of, structure_out.slot
+    cols = structure_in.members.get(w, ())
+    targets = structure_out.members.get(w, ())
+    # Every term must land in w's block of the target, if it has one.
+    number = block_of[targets[0]] if targets else -1
+    mat = [[0] * len(cols) for _ in targets]
+    for col, g in enumerate(cols):
+        k, v = divmod(g, dim)
+        for x, S, sign in table[tuples[k]]:
+            base = index[S] * dim
             for idx, cf in action[x][v] if x is not None else ((v, 1),):
-                wv, i = pos_of[(S, idx)]
-                if wv != w:
+                if block_of[base + idx] != number:
                     raise AssertionError("operator did not preserve the weight")
-                mat[i][col] += sign * cf
+                mat[slot[base + idx]][col] += sign * cf
     return mat
 
 
@@ -700,8 +768,8 @@ def hodge(blocks: tuple[int, ...], deg: int = 2) -> HodgeData:
     ker_costar: dict[Weight, Subspace] = {}
     ker_partial: dict[Weight, Subspace] = {}
 
-    for w, labs in here.labels.items():
-        dim_here = len(labs)
+    for w, ids in here.members.items():
+        dim_here = len(ids)
         d_up = operator_block(here, above, w)
         s_down = operator_block(here, below, w)
         d_in = operator_block(below, here, w)

@@ -66,7 +66,7 @@ from kostantcheck.kostant import (ChainModule, Cochain, block_product, block_str
                                   blocked_coords, chain_tuples, cochain_from_block, costar,
                                   hodge, operator_block, partial)
 from kostantcheck.ratlin import Subspace, kernel_basis, solve, zero_vector
-from test_kostant import reference_costar, reference_partial
+from test_kostant import position, reference_costar, reference_partial
 
 F = Fraction
 
@@ -278,6 +278,10 @@ class TestTensorModules:
                                                      ((0,), single)])
         with pytest.raises(ValueError, match="subspace of g"):
             ChainModule.from_tensor("short", gt, 1, [((0,), Subspace(gt.dim - 1))])
+        # A coordinate past g would land on the next tuple's labels.
+        past = Subspace(gt.dim + 1, [[0] * gt.dim + [1]])
+        with pytest.raises(ValueError, match="subspace of g"):
+            ChainModule.from_tensor("long", gt, 1, [((0,), single), ((1,), past)])
 
 
 class TestNormModuleImages:
@@ -349,10 +353,10 @@ class TestConstrainedModule:
     def residuals(module, conditions):
         """The label-wise coefficients and the dense residual of a list of
         conditions."""
-        pos_of = block_structure(module.alg.blocks, module.deg).pos_of
+        structure = block_structure(module.alg.blocks, module.deg)
 
         def labelwise(T: tuple, v: int) -> dict:
-            at = pos_of[(T, v)]
+            at = position(structure, T, v)
             return {k: cond[at] for k, cond in enumerate(conditions) if at in cond}
 
         def dense(c: Cochain) -> list:
@@ -368,8 +372,8 @@ class TestConstrainedModule:
         rng = random.Random(101)
         positions = sorted((w, i) for w, s in module.spaces.items() for i in range(s.ambient))
         ambient = block_structure(module.alg.blocks, module.deg)
-        outside = sorted((w, i) for w, labs in ambient.labels.items()
-                         if w not in module.spaces for i in range(len(labs)))
+        outside = sorted((w, i) for w in ambient.weights
+                         if w not in module.spaces for i in range(ambient.block_dim(w)))
         # nothing violates a functional on blocks outside the module; every
         # basis element violates the sum of the pivot coordinates (each
         # echelon row has a 1 at its own pivot and 0 at the others)

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from kostantcheck import kostant
-from kostantcheck.checks import run_check
+from kostantcheck.checks import _configs, run_check
 from kostantcheck.feff import module_E_path, module_F_path
 from kostantcheck.gla import elementary, graded_sl, smat_add_into, smat_bracket
 from kostantcheck.kostant import (
+    BlockStructure,
     ChainModule,
     Cochain,
     apply_insertion,
@@ -169,18 +171,42 @@ def reference_operator_block(structure_in, structure_out, op, w):
     """Reference block of any weight-preserving operator: every basis chain
     of the source block is pushed through ``op`` as a cochain."""
     alg = structure_in.alg
-    pos_of = structure_out.pos_of
-    cols = structure_in.labels.get(w, [])
+    cols = structure_in.labels(w)
     mat = [[0] * len(cols) for _ in range(structure_out.block_dim(w))]
     for col, (T, v) in enumerate(cols):
         image = op(Cochain(alg, structure_in.deg, {T: alg.basis_mat(v)}))
         for S, u in image.data.items():
             for idx, cf in alg.sparse_coords(u):
-                wv, i = pos_of[(S, idx)]
+                wv, i = position(structure_out, S, idx)
                 if wv != w:
                     raise AssertionError("operator did not preserve the weight")
                 mat[i][col] = cf
     return mat
+
+
+def position(structure, T: tuple, v: int) -> tuple:
+    """The block weight and the position in it of the label (T, v)."""
+    g = structure.index[T] * structure.alg.dim + v
+    return structure.weights[structure.block_of[g]], structure.slot[g]
+
+
+def reference_layout(alg, deg: int) -> dict:
+    """Weight ↦ the labels (T, v) of its block, grouped the direct way: the
+    weight of every label in turn, blocks in order of first appearance."""
+    labels: dict = {}
+    for T in itertools.combinations(range(alg.dim_neg), deg):
+        base = [0] * alg.m
+        for t in T:
+            a, b = alg.neg_positions[t]
+            base[b] += 1          # weight of Z_t = e_b − e_a
+            base[a] -= 1
+        for v, lab in enumerate(alg.basis_labels):
+            w = list(base)
+            if lab[0] == "E":
+                w[lab[1]] += 1
+                w[lab[2]] -= 1
+            labels.setdefault(tuple(w), []).append((T, v))
+    return labels
 
 
 def random_cochain(alg, deg: int, rng: random.Random, terms: int = 6) -> Cochain:
@@ -621,8 +647,41 @@ class TestBlocksAndModules:
     def test_block_structure_covers_chain_space(self, blocks, deg) -> None:
         alg = graded_sl(blocks)
         structure = block_structure(blocks, deg)
-        assert sum(len(v) for v in structure.labels.values()) \
+        assert sum(map(structure.block_dim, structure.weights)) \
             == chain_total_dim(alg, deg)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_block_structure_matches_the_reference_layout(self, n) -> None:
+        """Same block order, same label order in each block and the same
+        (w, i) for every label (T, v) as the direct grouping, on every
+        grading in play at n and degrees 0–3."""
+        for blocks in _configs(n):
+            alg = graded_sl(blocks)
+            for deg in range(4):
+                structure = block_structure(blocks, deg)
+                labels = reference_layout(alg, deg)
+                assert structure.weights == list(labels), (blocks, deg)
+                for w, labs in labels.items():
+                    assert structure.labels(w) == labs, (blocks, deg, w)
+                    for i, (T, v) in enumerate(labs):
+                        assert position(structure, T, v) == (w, i), (blocks, deg, T, v)
+
+    def test_block_structure_keeps_no_object_per_label(self) -> None:
+        """The degree-3 layout of the (2, 5) grading, 5,760 labels, retains
+        under 110 bytes per label (a tuple and a dict entry per label take
+        about 175)."""
+        alg = graded_sl((2, 5))
+        BlockStructure(alg, 3)        # any lazily built data of the algebra
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            structure = BlockStructure(alg, 3)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert chain_total_dim(alg, 3) == 5760
+        assert retained < 110 * 5760, retained / 5760
+        assert sum(map(structure.block_dim, structure.weights)) == 5760
 
     def test_blocked_coords_round_trip(self) -> None:
         rng = random.Random(73)
@@ -643,7 +702,8 @@ class TestBlocksAndModules:
         for deg in ((0, 1, 2) if step == 1 else (1, 2, 3)):
             here = block_structure(blocks, deg)
             there = block_structure(blocks, deg + step)
-            for w, labs in here.labels.items():
+            for w in here.weights:
+                labs = here.labels(w)
                 mat = operator_block(here, there, w)
                 assert all(type(x) is int for row in mat for x in row)
                 for col, (T, v) in enumerate(labs):
@@ -654,7 +714,7 @@ class TestBlocksAndModules:
 
     def test_operator_block_needs_a_step_of_one_degree(self) -> None:
         here = block_structure((1, 1, 2), 1)
-        w = next(iter(here.labels))
+        w = here.weights[0]
         for deg in (1, 3):
             with pytest.raises(ValueError, match="one degree"):
                 operator_block(here, block_structure((1, 1, 2), deg), w)
@@ -683,14 +743,14 @@ class TestBlocksAndModules:
         cochain equals the one built with every coordinate a Fraction."""
         alg = graded_sl((2, 3))
         structure = block_structure(alg.blocks, 2)
-        w = max(structure.labels, key=structure.block_dim)
+        w = max(structure.weights, key=structure.block_dim)
         size = structure.block_dim(w)
         for pattern, integral in [((F(3), 2, 0, F(-4, 2), -1), True),
                                   ((F(1, 2), 2, 0, F(-3), F(5, 3)), False)]:
             vec = [pattern[i % len(pattern)] for i in range(size)]
             got = cochain_from_block(alg, 2, w, vec)
             want = Cochain(alg, 2)
-            for cf, (T, v) in zip(vec, structure.labels[w]):
+            for cf, (T, v) in zip(vec, structure.labels(w)):
                 want.add_term(T, alg.basis_mat(v), F(cf))
             assert got == want and not got.is_zero()
             values = [x for u in got.data.values() for x in u.values()]
@@ -741,7 +801,8 @@ class TestHodge:
     def test_assembled_box_matches_the_laplacian_oracle(self, blocks) -> None:
         here = block_structure(blocks, 2)
         ker_box = hodge(blocks, 2).ker_box
-        for w, labs in here.labels.items():
+        for w in here.weights:
+            labs = here.labels(w)
             box = reference_operator_block(here, here, reference_laplacian, w)
             expected = Subspace(len(labs), kernel_basis(box))
             assert ker_box.spaces.get(w, Subspace(len(labs))) == expected, w
@@ -768,9 +829,9 @@ class TestHodge:
         """The degree-1 ∂*∂ block that the normalization solve reads, against
         basis cochains pushed through the reference ∂ and then ∂*."""
         here, above = block_structure(blocks, 1), block_structure(blocks, 2)
-        for w, labs in here.labels.items():
+        for w in here.weights:
             got = block_product(operator_block(above, here, w),
-                                operator_block(here, above, w), len(labs))
+                                operator_block(here, above, w), here.block_dim(w))
             want = reference_operator_block(here, here,
                                             lambda c: reference_costar(reference_partial(c)), w)
             assert got == want, w
@@ -788,13 +849,14 @@ class TestHodge:
                                         for i in range(ncols)])
             return Subspace(ncols, kernel_basis(mat))
 
-        for w, labs in here.labels.items():
+        for w in here.weights:
+            size = here.block_dim(w)
             for module, mat in [
                     (h.ker_costar, operator_block(here, below, w)),
                     (h.ker_partial, operator_block(here, above, w)),
                     (h.ker_box, reference_operator_block(here, here, reference_laplacian, w))]:
-                want = reference(mat, len(labs))
-                got = module.spaces.get(w, Subspace(len(labs)))
+                want = reference(mat, size)
+                got = module.spaces.get(w, Subspace(size))
                 assert (got.rows, got.pivots) == (want.rows, want.pivots), (module.name, w)
 
     def test_im_costar_members_die_under_costar(self) -> None:
