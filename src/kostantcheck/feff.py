@@ -958,16 +958,33 @@ def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
     })
 
 
+@lru_cache(maxsize=None)
+def _normalize_systems(n: int, level: int) -> list[tuple[Weight, Subspace, list[list[int]]]]:
+    """(w, the level's block space, ∂̃*∂̃ applied to its basis rows) for each
+    weight block of 𝔼^{(level)}, in weight order: the matrices of
+    :func:`normalize_step`, which depend on (n, level) alone."""
+    dom = module_E(n) if level == 1 else module_E2(n)
+    blocks = dom.alg.blocks
+    here, above = block_structure(blocks, 1), block_structure(blocks, 2)
+    out = []
+    for w, space in sorted(dom.spaces.items()):
+        # ∂̃*∂̃ on this weight block, applied to the level's basis rows.
+        box = block_product(operator_block(above, here, w),
+                            operator_block(here, above, w), here.block_dim(w))
+        out.append((w, space, block_product(box, list(zip(*space.int_rows)), space.dim)))
+    return out
+
+
 def normalize_step(psi: Cochain, level: int) -> Cochain | None:
     """Solve ∂̃*∂̃φ = −ψ exactly for φ ∈ 𝔼^{(level)}, with 𝔼^{(1)} = 𝔼 and
     𝔼^{(2)} = ñ_2⊗ñ_2.
 
     One exact system per weight block of the level's module: the block's
-    equations in the coefficients of the module's basis rows there.  ∂̃*∂̃
-    maps 𝔼 and 𝔼⁽²⁾ onto themselves bijectively (checked by
-    ``norm-modules``), so every ψ of the level has a preimage.  Returns the
-    cochain φ, or INFEASIBLE (None) when some block's system has no
-    solution.  ψ must lie in the level.
+    equations in the coefficients of the module's basis rows there, built
+    once per (n, level).  ∂̃*∂̃ maps 𝔼 and 𝔼⁽²⁾ onto themselves bijectively
+    (checked by ``norm-modules``), so every ψ of the level has a preimage.
+    Returns the cochain φ, or INFEASIBLE (None) when some block's system
+    has no solution.  ψ must lie in the level.
     """
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
@@ -976,18 +993,13 @@ def normalize_step(psi: Cochain, level: int) -> Cochain | None:
         raise ValueError("psi must be a degree-1 cochain over a (2, n+1) grading")
     n = alg.blocks[1] - 1
     dom = module_E(n) if level == 1 else module_E2(n)
-    if not dom.contains(psi):
-        raise ValueError("psi outside the required filtration level")
-    here, above = block_structure(alg.blocks, 1), block_structure(alg.blocks, 2)
     psi_blocks = blocked_coords(psi)
+    if not all(dom.contains_block(w, vec) for w, vec in psi_blocks.items()):
+        raise ValueError("psi outside the required filtration level")
     phi = Cochain(alg, 1)
-    for w, space in sorted(dom.spaces.items()):
-        dim_w = here.block_dim(w)
-        rhs = [-v for v in psi_blocks.get(w, [0] * dim_w)]
-        # ∂̃*∂̃ on this weight block, applied to the level's basis rows.
-        box = block_product(operator_block(above, here, w),
-                            operator_block(here, above, w), dim_w)
-        u = solve(block_product(box, list(zip(*space.int_rows)), space.dim), rhs)
+    for w, space, mat in _normalize_systems(n, level):
+        rhs = [-v for v in psi_blocks.get(w, [0] * space.ambient)]
+        u = solve(mat, rhs)
         if u is None:
             return INFEASIBLE
         vec = [sum(c * x for c, x in zip(u, col) if c) for col in zip(*space.int_rows)]

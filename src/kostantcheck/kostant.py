@@ -35,6 +35,9 @@ thousand dimensions then decompose into blocks of at most a few dozen.
 ``BlockStructure`` holds that layout as integer arrays over label ids
 g = k·dim g + v, one per chain-basis element Z_T ⊗ basis_v with T the k-th
 tuple, so its memory is a few bytes per label and no (T, v) object is kept.
+Many blocks pose the same problem, so ``hodge`` solves once per distinct
+set of operator blocks and lets identical blocks share their Subspace
+objects; ``ChainModule`` operations compute each distinct pair once.
 One table of terms, ``_exterior_table``, defines both operators: the tuple
 and sign of every term on each Z_T.  ``partial`` and ``costar`` apply it to
 cochains, and ``operator_block`` reads it, with the algebra's bracket
@@ -54,7 +57,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Iterable, Sequence
 
 from .gla import (
@@ -406,16 +409,17 @@ class BlockStructure:
 
     A label is stored as its id g = k·dim g + v, where k = ``index[T]`` is
     the position of T in ``tuples`` (:func:`chain_tuples`).  ``weights``
-    lists the blocks in order of first appearance over the ids, and
-    ``members[w]`` the ids of block w in increasing order, so labels run
-    T-major within a block.  ``block_of[g]`` is the position in ``weights``
-    of g's block and ``slot[g]`` the position of g in it.  The weights of
-    the labels at T are computed once per distinct weight of Z_T.  No
-    per-label object is kept: the three integer arrays take 12 bytes per
-    label, where a (T, v) tuple and a dict entry would take over 100, and
-    the degree-3 chain spaces at n = 6–8 have 10⁵ labels and more each
-    (312,000 for (2, 1, 8)).  :meth:`labels` decodes a block's (T, v) on
-    demand.
+    lists the blocks in order of first appearance over the ids and
+    ``number[w]`` is the position of w there.  ``order`` holds the ids
+    grouped by block, increasing within each, so labels run T-major within
+    a block; block b is ``order[start[b]:start[b + 1]]``.  ``block_of[g]``
+    is the position in ``weights`` of g's block and ``slot[g]`` the position
+    of g in it.  The weights of the labels at T are computed once per
+    distinct weight of Z_T.  No per-label object is kept, and per block
+    only its weight and one offset: the four integer arrays take 16 bytes
+    per label, where a (T, v) tuple and a dict entry would take over 100,
+    and the degree-3 chain spaces at n = 6–8 have 10⁵ labels and more each
+    (312,000 for (2, 1, 8)).  :meth:`labels` decodes a block's (T, v).
     """
 
     def __init__(self, alg: GradedSL, deg: int) -> None:
@@ -424,16 +428,15 @@ class BlockStructure:
         self.tuples = chain_tuples(alg, deg)
         self.index = {T: k for k, T in enumerate(self.tuples)}
         self.weights: list[Weight] = []
-        self.members: dict[Weight, array] = {}
+        self.number: dict[Weight, int] = {}
         self.block_of = array("i", [0]) * (len(self.tuples) * alg.dim)
         self.slot = array("i", [0]) * len(self.block_of)
         # The weight of basis_v is e_a − e_b for E_ab and 0 for H.
         value_shifts = [(lab[1], lab[2]) if lab[0] == "E" else None
                         for lab in alg.basis_labels]
-        number_of: dict[Weight, int] = {}
         # Z_T weight ↦ the block number of each label (T, v), in v order.
         numbers_at: dict[Weight, list[int]] = {}
-        member_ids: list[array] = []
+        sizes: list[int] = []
         block_of, slot = self.block_of, self.slot
         for k, T in enumerate(self.tuples):
             base = [0] * alg.m
@@ -450,27 +453,34 @@ class BlockStructure:
                         w[shift[0]] += 1
                         w[shift[1]] -= 1
                     w = tuple(w)
-                    if w not in number_of:
-                        number_of[w] = len(self.weights)
+                    if w not in self.number:
+                        self.number[w] = len(self.weights)
                         self.weights.append(w)
-                        self.members[w] = array("i")
-                        member_ids.append(self.members[w])
-                    numbers.append(number_of[w])
+                        sizes.append(0)
+                    numbers.append(self.number[w])
             g = k * alg.dim
             for number in numbers:
-                ids = member_ids[number]
                 block_of[g] = number
-                slot[g] = len(ids)
-                ids.append(g)
+                slot[g] = sizes[number]
+                sizes[number] += 1
                 g += 1
+        self.start = array("i", accumulate(sizes, initial=0))
+        # A stable sort by block keeps the ids of each block increasing.
+        self.order = array("i", sorted(range(len(block_of)), key=block_of.__getitem__))
+
+    def members(self, w: Weight) -> array:
+        """The ids of block w in block order; empty for a weight with no block."""
+        b = self.number.get(w)
+        return self.order[self.start[b]:self.start[b + 1]] if b is not None else array("i")
 
     def block_dim(self, w: Weight) -> int:
-        return len(self.members.get(w, ()))
+        b = self.number.get(w)
+        return self.start[b + 1] - self.start[b] if b is not None else 0
 
     def labels(self, w: Weight) -> list[tuple[tuple[int, ...], int]]:
         """The labels (T, v) of block w, in block order."""
         dim = self.alg.dim
-        return [(self.tuples[g // dim], g % dim) for g in self.members.get(w, ())]
+        return [(self.tuples[g // dim], g % dim) for g in self.members(w)]
 
 
 @lru_cache(maxsize=None)
@@ -482,7 +492,7 @@ def blocked_coords(c: Cochain) -> dict[Weight, list[int | Fraction]]:
     """Coordinates of a cochain, one dense vector per weight block, as stored."""
     structure = block_structure(c.alg.blocks, c.deg)
     index, block_of, slot = structure.index, structure.block_of, structure.slot
-    weights, members, dim = structure.weights, structure.members, c.alg.dim
+    weights, start, dim = structure.weights, structure.start, c.alg.dim
     out: dict[int, list[int | Fraction]] = {}
     for T, u in c.data.items():
         base = index[T] * dim
@@ -490,7 +500,7 @@ def blocked_coords(c: Cochain) -> dict[Weight, list[int | Fraction]]:
             number = block_of[base + v]
             vec = out.get(number)
             if vec is None:
-                vec = out[number] = [0] * len(members[weights[number]])
+                vec = out[number] = [0] * (start[number + 1] - start[number])
             vec[slot[base + v]] = cf
     return {weights[number]: vec for number, vec in out.items()}
 
@@ -499,7 +509,7 @@ def cochain_from_block(alg: GradedSL, deg: int, w: Weight, vec: Sequence) -> Coc
     """The cochain of block coordinates ``vec``, integral ones stored as ``int``."""
     structure = block_structure(alg.blocks, deg)
     out = Cochain(alg, deg)
-    for cf, g in zip(vec, structure.members[w]):
+    for cf, g in zip(vec, structure.members(w)):
         if cf:
             k, v = divmod(g, alg.dim)
             out.add_term(structure.tuples[k], alg.basis_mat(v),
@@ -556,7 +566,7 @@ class ChainModule:
             raise ValueError("a tuple is repeated in a tensor module")
         structure = block_structure(alg.blocks, deg)
         block_of, slot = structure.block_of, structure.slot
-        weights, members = structure.weights, structure.members
+        weights, start = structure.weights, structure.start
         rows: dict[int, list[list[int]]] = {}
         # The nonzero entries of each factor's rows; factors repeat over T.
         entries: dict[int, list[list[tuple[int, int]]]] = {}
@@ -571,7 +581,7 @@ class ChainModule:
                 number = block_of[base + b[0][0]]
                 if any(block_of[base + v] != number for v, _ in b):
                     raise ValueError(f"a row of the factor at {T} mixes weights")
-                row = [0] * len(members[weights[number]])
+                row = [0] * (start[number + 1] - start[number])
                 for v, x in b:
                     row[slot[base + v]] = x
                 rows.setdefault(number, []).append(row)
@@ -614,26 +624,23 @@ class ChainModule:
         return space.contains(vec) if space is not None else not any(vec)
 
     def is_contained_in(self, other: "ChainModule") -> bool:
-        for w, space in self.spaces.items():
-            other_space = other.spaces.get(w)
-            if other_space is None:
-                if space.dim:
-                    return False
-            elif not other_space.contains_subspace(space):
-                return False
-        return True
+        # Every stored space is nonzero, so a block missing from other fails.
+        done: dict = {}
+        return all(w in other.spaces and _once(done, Subspace.contains_subspace,
+                                               other.spaces[w], space)
+                   for w, space in self.spaces.items())
 
     def sum_with(self, other: "ChainModule", name: str | None = None) -> "ChainModule":
-        spaces = dict(self.spaces)
+        spaces, done = dict(self.spaces), {}
         for w, space in other.spaces.items():
-            spaces[w] = spaces[w].sum_with(space) if w in spaces else space
+            spaces[w] = _once(done, Subspace.sum_with, spaces[w], space) if w in spaces else space
         return ChainModule(name or f"{self.name}+{other.name}", self.alg, self.deg, spaces)
 
     def intersect(self, other: "ChainModule", name: str | None = None) -> "ChainModule":
-        spaces = {}
+        spaces, done = {}, {}
         for w, space in self.spaces.items():
             if w in other.spaces:
-                spaces[w] = space.intersect(other.spaces[w])
+                spaces[w] = _once(done, Subspace.intersect, space, other.spaces[w])
         return ChainModule(name or f"{self.name}∩{other.name}", self.alg, self.deg, spaces)
 
     def basis_cochains(self) -> list[Cochain]:
@@ -649,6 +656,16 @@ class ChainModule:
 
     def __repr__(self) -> str:
         return f"ChainModule({self.name!r}, deg={self.deg}, dim={self.dim})"
+
+
+def _once(done: dict, op: Callable, a: Subspace, b: Subspace):
+    """op(a, b), looked up in ``done`` by the pair of objects, which the
+    caller keeps alive: blocks that share their spaces (see :func:`hodge`)
+    compute each distinct pair once."""
+    key = (id(a), id(b))
+    if key not in done:
+        done[key] = op(a, b)
+    return done[key]
 
 
 def operator_block(structure_in: BlockStructure, structure_out: BlockStructure,
@@ -669,8 +686,8 @@ def operator_block(structure_in: BlockStructure, structure_out: BlockStructure,
     table = _exterior_table(alg.blocks, structure_in.deg, step)
     dim, tuples = alg.dim, structure_in.tuples
     index, block_of, slot = structure_out.index, structure_out.block_of, structure_out.slot
-    cols = structure_in.members.get(w, ())
-    targets = structure_out.members.get(w, ())
+    cols = structure_in.members(w)
+    targets = structure_out.members(w)
     # Every term must land in w's block of the target, if it has one.
     number = block_of[targets[0]] if targets else -1
     mat = [[0] * len(cols) for _ in targets]
@@ -736,15 +753,10 @@ def block_product(left: Sequence[Sequence[int | Fraction]],
     return out
 
 
-def _column_space(mat: list[list[int | Fraction]]) -> Subspace:
-    if not mat:
-        return Subspace(0)
-    return Subspace(len(mat), zip(*mat))
-
-
 @dataclass(frozen=True)
 class HodgeData:
-    """The Hodge decomposition of one chain degree."""
+    """The Hodge decomposition of one chain degree.  Weight blocks with the
+    same operators share their Subspace objects, so none may be mutated."""
 
     im_costar: ChainModule
     ker_box: ChainModule
@@ -756,42 +768,41 @@ class HodgeData:
 
 @lru_cache(maxsize=None)
 def hodge(blocks: tuple[int, ...], deg: int = 2) -> HodgeData:
-    """im∂* ⊕ ker□ ⊕ im∂ at the given degree, one weight block at a time."""
+    """im∂* ⊕ ker□ ⊕ im∂ at the given degree, one weight block at a time.
+
+    The five spaces are solved once per distinct key: the three block
+    dimensions (an empty operator block ``[]`` keeps no column count) and
+    the four operator blocks, 170 keys for 635 degree-2 blocks of (2, 5).
+    A later block with the same key takes the same Subspace objects, which
+    are the exact solution of its own operators.
+    """
     alg = graded_sl(blocks)
     below = block_structure(blocks, deg - 1)
     here = block_structure(blocks, deg)
     above = block_structure(blocks, deg + 1)
-
-    im_costar: dict[Weight, Subspace] = {}
-    ker_box: dict[Weight, Subspace] = {}
-    im_partial: dict[Weight, Subspace] = {}
-    ker_costar: dict[Weight, Subspace] = {}
-    ker_partial: dict[Weight, Subspace] = {}
-
-    for w, ids in here.members.items():
-        dim_here = len(ids)
+    # In HodgeData's field order: im∂*, ker□, im∂, ker∂*, ker∂.
+    modules: tuple[dict[Weight, Subspace], ...] = ({}, {}, {}, {}, {})
+    solved: dict[tuple, tuple[Subspace, ...]] = {}
+    for w in here.weights:
+        dim_here = here.block_dim(w)
         d_up = operator_block(here, above, w)
         s_down = operator_block(here, below, w)
         d_in = operator_block(below, here, w)
         s_in = operator_block(above, here, w)
-
-        im_costar[w] = _column_space(s_in) if above.block_dim(w) else Subspace(dim_here)
-        im_partial[w] = _column_space(d_in) if below.block_dim(w) else Subspace(dim_here)
-        ker_costar[w] = null_space(s_down, dim_here)
-        ker_partial[w] = null_space(d_up, dim_here)
-
-        # □ = ∂∘∂* + ∂*∘∂ on this block: d_in·s_down + s_in·d_up.
-        box = [[x + y for x, y in zip(r1, r2)]
-               for r1, r2 in zip(block_product(d_in, s_down, dim_here),
-                                 block_product(s_in, d_up, dim_here))]
-        ker_box[w] = null_space(box, dim_here)
-
-    total = chain_total_dim(alg, deg)
-    return HodgeData(
-        im_costar=ChainModule("im costar", alg, deg, im_costar),
-        ker_box=ChainModule("ker box", alg, deg, ker_box),
-        im_partial=ChainModule("im partial", alg, deg, im_partial),
-        ker_costar=ChainModule("ker costar", alg, deg, ker_costar),
-        ker_partial=ChainModule("ker partial", alg, deg, ker_partial),
-        total_dim=total,
-    )
+        key = (below.block_dim(w), dim_here, above.block_dim(w),
+               *(tuple(map(tuple, mat)) for mat in (d_up, s_down, d_in, s_in)))
+        spaces = solved.get(key)
+        if spaces is None:
+            # □ = ∂∘∂* + ∂*∘∂ on this block: d_in·s_down + s_in·d_up.
+            box = [[x + y for x, y in zip(r1, r2)]
+                   for r1, r2 in zip(block_product(d_in, s_down, dim_here),
+                                     block_product(s_in, d_up, dim_here))]
+            spaces = solved[key] = (Subspace(dim_here, zip(*s_in)), null_space(box, dim_here),
+                                    Subspace(dim_here, zip(*d_in)), null_space(s_down, dim_here),
+                                    null_space(d_up, dim_here))
+        for module, space in zip(modules, spaces):
+            module[w] = space
+    names = ("im costar", "ker box", "im partial", "ker costar", "ker partial")
+    return HodgeData(*(ChainModule(name, alg, deg, module)
+                       for name, module in zip(names, modules)),
+                     total_dim=chain_total_dim(alg, deg))

@@ -268,7 +268,10 @@ class Subspace:
         return out
 
     def insert(self, vec: Sequence[int | Fraction]) -> bool:
-        """Add ``vec`` to the span; returns True if the dimension grew."""
+        """Add ``vec`` to the span; returns True if the dimension grew.
+
+        The only mutator: call it only on a space you built yourself, since
+        the spaces of ``kostant.hodge`` are shared by identical blocks."""
         dim = self.dim
         grown = Subspace(self.ambient, self.int_rows + [vec])
         self.int_rows, self.pivots, self._rows = grown.int_rows, grown.pivots, None

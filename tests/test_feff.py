@@ -887,8 +887,9 @@ class TestNormalizeStep:
         """With ∂̃*∂̃ stubbed to an all-zero block, a nonzero ψ has no
         preimage: normalize_step returns INFEASIBLE and the normalize-step
         cell records failures instead of raising."""
-        monkeypatch.setattr(feff, "block_product",
-                            lambda left, right, ncols: [[0] * ncols for _ in left])
+        systems = feff._normalize_systems
+        monkeypatch.setattr(feff, "_normalize_systems", lambda n, level: [
+            (w, space, [[0] * len(row) for row in mat]) for w, space, mat in systems(n, level)])
         psi = module_E(3).basis_cochains()[0]
         assert normalize_step(psi, 1) is INFEASIBLE
         rep = run_check("normalize-step", 3, 1, 3)

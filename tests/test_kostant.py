@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from kostantcheck import kostant
-from kostantcheck.checks import _configs, run_check
+from kostantcheck.checks import CHECKS, _chain_configs, _configs, run_check
 from kostantcheck.feff import module_E_path, module_F_path
 from kostantcheck.gla import elementary, graded_sl, smat_add_into, smat_bracket
 from kostantcheck.kostant import (
@@ -47,7 +47,7 @@ from kostantcheck.kostant import (
     operator_block,
     partial,
 )
-from kostantcheck.ratlin import Subspace, kernel_basis
+from kostantcheck.ratlin import Subspace, kernel_basis, null_space
 
 F = Fraction
 
@@ -207,6 +207,20 @@ def reference_layout(alg, deg: int) -> dict:
                 w[lab[2]] -= 1
             labels.setdefault(tuple(w), []).append((T, v))
     return labels
+
+
+def direct_block_spaces(size: int, d_up, s_down, d_in, s_in) -> tuple:
+    """The five Hodge spaces of one weight block (im∂*, ker□, im∂, ker∂*,
+    ker∂ in HodgeData's order), solved from that block's operators alone,
+    with a dense product for □."""
+    def product(left, right):
+        return [[sum(x * right[k][j] for k, x in enumerate(row)) for j in range(size)]
+                for row in left]
+
+    box = [[x + y for x, y in zip(r1, r2)]
+           for r1, r2 in zip(product(d_in, s_down), product(s_in, d_up))]
+    return (Subspace(size, zip(*s_in)), null_space(box, size), Subspace(size, zip(*d_in)),
+            null_space(s_down, size), null_space(d_up, size))
 
 
 def random_cochain(alg, deg: int, rng: random.Random, terms: int = 6) -> Cochain:
@@ -667,9 +681,10 @@ class TestBlocksAndModules:
                         assert position(structure, T, v) == (w, i), (blocks, deg, T, v)
 
     def test_block_structure_keeps_no_object_per_label(self) -> None:
-        """The degree-3 layout of the (2, 5) grading, 5,760 labels, retains
-        under 110 bytes per label (a tuple and a dict entry per label take
-        about 175)."""
+        """The degree-3 layout of the (2, 5) grading, 5,760 labels in 1,200
+        blocks, retains under 110 bytes per label (a tuple and a dict entry
+        per label take about 175) and under 160 bytes per block, arrays
+        included (an id array per block took 192)."""
         alg = graded_sl((2, 5))
         BlockStructure(alg, 3)        # any lazily built data of the algebra
         tracemalloc.start()
@@ -681,6 +696,8 @@ class TestBlocksAndModules:
             tracemalloc.stop()
         assert chain_total_dim(alg, 3) == 5760
         assert retained < 110 * 5760, retained / 5760
+        assert len(structure.weights) == 1200
+        assert retained < 160 * 1200, retained / 1200
         assert sum(map(structure.block_dim, structure.weights)) == 5760
 
     def test_blocked_coords_round_trip(self) -> None:
@@ -858,6 +875,68 @@ class TestHodge:
                 want = reference(mat, size)
                 got = module.spaces.get(w, Subspace(size))
                 assert (got.rows, got.pivots) == (want.rows, want.pivots), (module.name, w)
+
+    # (distinct (dims, ∂↑, ∂*↓, ∂↓, ∂*↑) keys, blocks) per grading and degree.
+    DISTINCT_BLOCKS = {
+        ((1, 1, 2), 1): (25, 35), ((1, 1, 2), 2): (36, 52),
+        ((2, 3), 1): (33, 69), ((2, 3), 2): (56, 118),
+        ((1, 1, 3), 1): (40, 76), ((1, 1, 3), 2): (79, 151),
+        ((2, 4), 1): (47, 133), ((2, 4), 2): (105, 298),
+        ((1, 1, 4), 1): (57, 142), ((1, 1, 4), 2): (138, 357),
+        ((2, 5), 1): (64, 228), ((2, 5), 2): (170, 635),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_block_equals_its_own_direct_solve(self, n) -> None:
+        """Each block's five spaces equal the direct solve of its own four
+        operator blocks, on every grading the suites sweep at n and degrees
+        1–2; blocks with the same key hold the same objects, and the number
+        of distinct keys is pinned."""
+        for blocks in _chain_configs(n):
+            for deg in (1, 2):
+                below, here, above = (block_structure(blocks, d) for d in (deg - 1, deg, deg + 1))
+                h = hodge(blocks, deg)
+                modules = (h.im_costar, h.ker_box, h.im_partial, h.ker_costar, h.ker_partial)
+                first: dict = {}
+                for w in here.weights:
+                    size = here.block_dim(w)
+                    mats = (operator_block(here, above, w), operator_block(here, below, w),
+                            operator_block(below, here, w), operator_block(above, here, w))
+                    got = [m.spaces.get(w, Subspace(size)) for m in modules]
+                    want = direct_block_spaces(size, *mats)
+                    assert [(s.int_rows, s.pivots) for s in got] \
+                        == [(s.int_rows, s.pivots) for s in want], (blocks, deg, w)
+                    key = (below.block_dim(w), size, above.block_dim(w),
+                           *(tuple(map(tuple, mat)) for mat in mats))
+                    shared = first.setdefault(key, got)
+                    assert all(a is b for a, b in zip(got, shared) if a.dim), (blocks, deg, w)
+                assert (len(first), len(here.weights)) == self.DISTINCT_BLOCKS[blocks, deg]
+
+    def test_no_check_mutates_a_shared_block_space(self) -> None:
+        """After every check at n = 3 in registry order, each cached
+        HodgeData still holds what a fresh computation gives: no caller
+        changed a Subspace that identical blocks share."""
+        hodge.cache_clear()
+        for name in CHECKS:
+            assert run_check(name, 3, 1, 2).ok, name
+        cached_count = hodge.cache_info().currsize
+        cached = {}
+        for blocks in _configs(3):
+            for deg in (1, 2, 3):
+                hits = hodge.cache_info().hits
+                h = hodge(blocks, deg)
+                if hodge.cache_info().hits > hits:
+                    cached[blocks, deg] = h
+        assert len(cached) == cached_count > 0
+        hodge.cache_clear()
+        for (blocks, deg), old in cached.items():
+            new = hodge(blocks, deg)
+            for field in ("im_costar", "ker_box", "im_partial", "ker_costar", "ker_partial"):
+                before, after = getattr(old, field).spaces, getattr(new, field).spaces
+                assert before.keys() == after.keys(), (blocks, deg, field)
+                for w, space in after.items():
+                    assert (before[w].int_rows, before[w].pivots) \
+                        == (space.int_rows, space.pivots), (blocks, deg, field, w)
 
     def test_im_costar_members_die_under_costar(self) -> None:
         h = hodge((2, 2), 2)
