@@ -9,7 +9,8 @@ The linear maps are, in 0-based matrix indices,
     α  : sl(n+2) → sl(n+3)   insert a zero third row and column,
     β  : sl(n+3) → gl(n+2)   delete the third row, add column 2 into column 1,
     q  : i′(g)+ñ^{1,F} → sl(n+2)   delete the third row and column,
-    π  : g̃/p̃ ↠ g/q          induced by inverting i′ modulo p̃,
+    π  : g̃/p̃ ↠ g/q          induced by inverting i′ modulo p̃; a relabeling
+                             X̃^{j_of[s]} ↦ X^s, zero on the other X̃^j,
     π* : q_+ → p̃_+           the dual of π under the trace pairing.
 
 Here ñ^{1,F} is spanned by the matrix positions in rows {0,1,2} and columns
@@ -107,16 +108,6 @@ def _entry_rows(mats: Sequence[SparseMat],
                 positions: Sequence[tuple[int, int]]) -> list[list[int | Fraction]]:
     """One row per matrix position: the entry there of each matrix in turn."""
     return [[mat.get(pos, 0) for mat in mats] for pos in positions]
-
-
-def _eval1(c: Cochain, cls: Sequence[Fraction]) -> SparseMat:
-    """Evaluate a degree-1 cochain on a quotient class vector."""
-    out: SparseMat = {}
-    for (s,), u in c.data.items():
-        cf = cls[s]
-        if cf:
-            smat_add_into(out, u, cf)
-    return out
 
 
 def _wedge_table(c1: Sequence[Fraction], c2: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:
@@ -227,14 +218,16 @@ class EmbeddingMaps:
             if any(g.class_mod_p(g.from_coords(k))):
                 raise MapConstructionError("pi is not well defined on classes")
         self.pi_cols = pi_cols
-        # Λ²π: the nonempty wedge tables of the target pairs.  Each π column
-        # has at most one nonzero entry, so a table holds at most one pair.
-        self.wedge_tables = [
-            (T, table) for T in chain_tuples(gt, 2)
-            if (table := _wedge_table(pi_cols[T[0]], pi_cols[T[1]]))]
-
         if Subspace(g.dim_neg, pi_cols).dim != g.dim_neg:
             raise MapConstructionError("pi is not surjective")
+        # π relabels the quotient bases: its nonzero columns, in order, are the
+        # unit classes X^0, X^1, … with the int 1.  So j_of[s], the j with
+        # π(X̃^j) = X^s, increases, and Λ²π keeps pairs increasing.
+        self.j_of = [j for j, col in enumerate(pi_cols) if any(col)]
+        units = [pi_cols[j] for j in self.j_of]
+        if units != [_unit(g.dim_neg, s) for s in range(g.dim_neg)] or any(
+                type(col[s]) is not int for s, col in enumerate(units)):
+            raise MapConstructionError("pi is not an order-keeping relabeling")
         pi_mat = [[pi_cols[j][s] for j in range(gt.dim_neg)]
                   for s in range(g.dim_neg)]
         self.pi_kernel = null_space(pi_mat, gt.dim_neg)
@@ -541,36 +534,23 @@ def _constrained_module(module: ChainModule, name: str,
 def transfer(kappa: Cochain, maps: EmbeddingMaps) -> Cochain:
     """κ̃(X̃, Ỹ) = i′(κ(π X̃, π Ỹ)) as a degree-2 cochain over the target.
 
-    The value on a target pair (j, k) is κ(π X̃^j, π X̃^k), read by
-    :func:`_eval2_table` from ``maps.wedge_tables``: the wedge tables of the
-    π columns, for the pairs with a nonzero image.  Reference: κ evaluated on
+    π relabels the quotient bases (``maps.j_of``), so each stored pair (s, t)
+    of κ gives the one target pair (j_of[s], j_of[t]), increasing as j_of is,
+    and every other target pair has a zero value.  Reference: κ evaluated on
     every pair of π columns, in ``tests/test_feff.py``.
     """
     if kappa.alg.blocks != maps.g.blocks or kappa.deg != 2:
         raise ValueError("cochain does not match the maps' source grading")
+    j_of = maps.j_of
     out = Cochain(maps.gt, 2)
-    for T, table in maps.wedge_tables:
-        val = _eval2_table(kappa, table)
-        if val:
-            out.add_term(T, maps.i_prime(val))
+    for (s, t), u in kappa.data.items():
+        out.add_term((j_of[s], j_of[t]), maps.i_prime(u))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Verification sweeps
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _defect_tables(maps: EmbeddingMaps) -> list[tuple[int, list[tuple[dict, tuple[int, int]]]]]:
-    """(j, [(π(X̃^j)∧X^{(b,1)} as a :func:`_wedge_table`, (2, b + 1)), …]) for
-    each target direction j, over the V directions X^{(b,1)} of the source;
-    empty tables are dropped.  Built once per maps object."""
-    g = maps.g
-    v_neg = [(s, pos[0]) for s, pos in enumerate(g.neg_positions) if pos[1] == 1]
-    return [(j, [(table, (2, b + 1)) for s, b in v_neg
-                 if (table := _wedge_table(col, _unit(g.dim_neg, s)))])
-            for j, col in enumerate(maps.pi_cols)]
 
 
 def normality_defect(phi: Cochain, maps: EmbeddingMaps) -> Cochain:
@@ -590,19 +570,23 @@ def normality_defect(phi: Cochain, maps: EmbeddingMaps) -> Cochain:
     every value paired with a q_{-1}^V direction lies in A, whose matrices
     have zero (1,1) entry.
 
-    Each φ(π(X̃^j), X^{(b,1)}) is read by :func:`_eval2_table` from a table
-    of :func:`_defect_tables`.  Reference: φ evaluated on the π column and
-    the unit class, in ``tests/test_feff.py``.
+    π relabels the quotient bases, so π(X̃^j) = X^s for j = j_of[s] and
+    zero otherwise: each stored pair of φ with a nonzero (1,1) entry adds
+    one term per V direction X^{(b,1)} among its two slots, at the target
+    index of its other slot, with the sign that brings X^{(b,1)} to the
+    second slot.  Reference: φ evaluated on the π column and the unit
+    class, in ``tests/test_feff.py``.
     """
+    neg, j_of = maps.g.neg_positions, maps.j_of
     out = Cochain(maps.gt, 1)
-    for j, tables in _defect_tables(maps):
-        mat: SparseMat = {}
-        for table, pos in tables:
-            cf = _eval2_table(phi, table).get((1, 1))
-            if cf:
-                smat_add_into(mat, {pos: cf}, -1)
-        if mat:
-            out.add_term((j,), mat)
+    for (s, t), u in phi.data.items():
+        cf = u.get((1, 1))
+        if not cf:
+            continue
+        if neg[t][1] == 1:
+            out.add_term((j_of[s],), {(2, neg[t][0] + 1): cf}, -1)
+        if neg[s][1] == 1:
+            out.add_term((j_of[t],), {(2, neg[s][0] + 1): cf})
     return out
 
 
@@ -628,10 +612,8 @@ def verify_path_normality(n: int, rng: object = None, trials: int = 0) -> Report
         lhs = costar(transfer(phi, maps))
         dphi = costar(phi)
         rhs = Cochain(gt, 1)
-        for j in range(gt.dim_neg):
-            val = _eval1(dphi, maps.pi_cols[j])
-            if val:
-                rhs.add_term((j,), maps.alpha(val))
+        for (s,), u in dphi.data.items():
+            rhs.add_term((maps.j_of[s],), maps.alpha(u))
         defect = normality_defect(phi, maps)
         chk.check(lhs == rhs.add(defect),
                   f"corrected normality identity failed at basis element {idx}")
@@ -813,14 +795,8 @@ def ag_costar_check(kappa: Cochain, maps: EmbeddingMaps | None = None) -> Report
             smat_add_into(contraction, {(a, ap, bp): v})
 
     rhs = Cochain(gt, 1)
-    for j in range(gt.dim_neg):
-        mat: SparseMat = {}
-        for (a, ap, cp), v in contraction.items():
-            cf = maps.pi_cols[j][g.index_of_neg[(ap + 2, a)]]
-            if cf:
-                smat_add_into(mat, {(2, 3 + cp): cf * v}, -1)
-        if mat:
-            rhs.add_term((j,), mat)
+    for (a, ap, cp), v in contraction.items():
+        rhs.add_term((maps.j_of[g.index_of_neg[(ap + 2, a)]],), {(2, 3 + cp): v}, -1)
 
     chk.check(lhs == rhs, "costar of the transfer differs from the block formula")
     chk.check(lhs.is_zero() == (not contraction),
@@ -890,8 +866,9 @@ def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
     # With the bijections above, im∂*∩E = E makes ∂̃*∂̃ bijective on E; with
     # ∂̃*∂̃E2 ⊆ E2 and injectivity it is bijective on E2 as well.
     chk.check(m1.same_space(e_mod), "im∂*∩E differs from E")
-    for idx, (w, img) in enumerate(module_images(
-            e2_mod, lambda w: block_product(down(w), up(w), here.block_dim(w)))):
+    # The columns of normalize_step's level-2 systems: ∂̃*∂̃ of E2's basis rows.
+    e2_images = ((w, col) for w, _, mat in _normalize_systems(n, 2) for col in zip(*mat))
+    for idx, (w, img) in enumerate(e2_images):
         chk.check(e2_mod.contains_block(w, img), f"∂*∂E2 ⊄ E2 at basis element {idx}")
 
     # condition-set realizations

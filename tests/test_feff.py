@@ -21,6 +21,7 @@ arithmetic is rational and all iteration orders are sorted.
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -90,6 +91,10 @@ def pi_of(maps: EmbeddingMaps, xt: dict) -> list[Fraction]:
             for s, v in enumerate(maps.pi_cols[j]):
                 out[s] += cf * v
     return out
+
+
+def _unit_class(dim: int, s: int) -> list[int]:
+    return [int(i == s) for i in range(dim)]
 
 
 def combine(basis, rng: random.Random, picks: int = 5) -> Cochain:
@@ -435,16 +440,22 @@ class TestTransfer:
             assert cochain_to_doc(got) == cochain_to_doc(dense_transfer(kappa, maps))
             assert bool(got.data) == bool(kappa.data)
 
-    def test_wedge_tables_are_the_nonempty_target_pairs(self) -> None:
-        for n, source in [(3, "path"), (4, "path"), (3, "ag"), (4, "ag")]:
-            maps = build_maps(n, source)
-            tables = dict(maps.wedge_tables)
-            for T in chain_tuples(maps.gt, 2):
-                table = _wedge_table(maps.pi_cols[T[0]], maps.pi_cols[T[1]])
-                assert tables.get(T, {}) == table
-                assert len(table) <= 1
-            # Every coefficient is integral and kept as an int.
-            assert all(type(v) is int for _, table in maps.wedge_tables for v in table.values())
+    @pytest.mark.parametrize("n,source", [(n, "path") for n in range(2, 7)]
+                             + [(n, "ag") for n in range(3, 7)])
+    def test_pi_is_the_increasing_relabeling_j_of(self, n, source) -> None:
+        maps = build_maps(n, source)
+        j_of = maps.j_of
+        assert len(j_of) == maps.g.dim_neg
+        assert all(j < k for j, k in zip(j_of, j_of[1:]))
+        for j, col in enumerate(maps.pi_cols):
+            if j in j_of:
+                s = j_of.index(j)
+                assert col == _unit_class(maps.g.dim_neg, s) and type(col[s]) is int
+            else:
+                assert not any(col)
+        zero_cols = [j for j, col in enumerate(maps.pi_cols) if not any(col)]
+        assert maps.pi_kernel == Subspace(maps.gt.dim_neg, [_unit_class(maps.gt.dim_neg, j)
+                                                            for j in zero_cols])
 
     def test_wedge_table_matches_the_dense_formula(self) -> None:
         """Seeded vectors over few values, so supports overlap and the two
@@ -600,9 +611,9 @@ class TestNormalityDefect:
                 if not normality_defect(c, maps).is_zero()]
         assert hits
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_defect_matches_the_dense_evaluation(self, n: int) -> None:
-        """The wedge-table defect against −Σ_{b≥2} φ(π(X̃^j), X^{(b,1)})_11 Ẽ_{2,b+1}
+        """The relabeling defect against −Σ_{b≥2} φ(π(X̃^j), X^{(b,1)})_11 Ẽ_{2,b+1}
         with φ evaluated densely, on every basis cochain of the constrained
         module."""
         maps = build_maps(n, "path")
@@ -622,6 +633,41 @@ class TestNormalityDefect:
             assert got == want
             nonzero += not got.is_zero()
         assert nonzero > 0
+
+
+class TestRelabelingMutants:
+    """A wrong ``j_of`` planted after construction, where the construction
+    checks cannot see it, must fail the verify cells that read it."""
+
+    @staticmethod
+    def plant(monkeypatch, mutate) -> None:
+        real = feff.build_maps
+
+        def mutated(n: int, source: str) -> EmbeddingMaps:
+            maps = copy.copy(real(n, source))
+            maps.j_of = mutate(list(maps.j_of))
+            return maps
+
+        monkeypatch.setattr(feff, "build_maps", mutated)
+
+    @pytest.mark.parametrize("check", ["path-normality", "torsion-transfer"])
+    def test_swapped_entries_fail_the_cell(self, check, monkeypatch) -> None:
+        """j_of[1] and j_of[2] swapped: the transfer of a cochain stored at
+        (1, 2) lands on a decreasing pair, which the cochain keys reject."""
+        self.plant(monkeypatch, lambda j: [j[0], j[2], j[1], *j[3:]])
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            run_check(check, 2, 1, 2)
+
+    @pytest.mark.parametrize("check", ["path-normality", "torsion-transfer"])
+    def test_an_increasing_wrong_relabeling_fails_the_cell(self, check, monkeypatch) -> None:
+        """X^0 moved onto the π-kernel direction just below j_of[1]: j_of
+        still increases, so every pair stays valid and only the values can
+        tell."""
+        maps = build_maps(2, "path")
+        assert maps.pi_kernel.contains(_unit_class(maps.gt.dim_neg, maps.j_of[1] - 1))
+        self.plant(monkeypatch, lambda j: [j[1] - 1, *j[1:]])
+        rep = run_check(check, 2, 1, 2)
+        assert not rep.ok and rep.failed
 
 
 class TestVerificationSweeps:
