@@ -13,7 +13,9 @@ failing cells, serialized with sorted keys.  wall_time_ms is fixed to 0 in
 JSON so that runs with identical (check, n, seed, trials) are byte-
 identical; measured times appear in the text format only.  Exit codes:
 0 when every report passes, 1 when any cell fails (a cell that ran no
-cases fails), 2 for usage or input errors, such as a non-positive
+cases fails, and so does a cell that raises: its row has cases_run 0 and
+the exception as its counterexample, and the run goes on with the next
+cell), 2 for usage or input errors, such as a non-positive
 --trials or an --output path that cannot be written.  Cells whose size
 lies outside a check's window (the suites built on the almost-Grassmannian
 source need n ≥ 3) are skipped without a report, so ranged runs over mixed
@@ -59,7 +61,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in names:
         for n in range(args.n_min, args.n_max + 1):
             start = time.perf_counter()
-            rep = run_check(name, n, args.seed, args.trials)
+            try:
+                rep = run_check(name, n, args.seed, args.trials)
+            except Exception as exc:  # noqa: BLE001 - the cell's failure, not the run's
+                rep = Report(n=n, cases=0, failures=[f"{type(exc).__name__}: {exc}"],
+                             name=name, failed=1)
             if rep is None:
                 continue
             elapsed_ms = int((time.perf_counter() - start) * 1000)

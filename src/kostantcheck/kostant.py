@@ -227,24 +227,22 @@ def lift_classes(alg: GradedSL,
     return LiftClasses(alg.blocks, tuple(rows))
 
 
-def costar_two_form(c: Cochain,
-                    lift_extras: Sequence[SparseMat] | LiftClasses | None = None) -> Cochain:
+def costar_two_form(c: Cochain, table: LiftClasses | None = None) -> Cochain:
     """Degree-2 evaluation form of ∂*, usable as an independent oracle:
 
         (∂*φ)(X) = Σ_i [Z_i, φ(X, X^i)] − ½ Σ_i φ([Z_i, X̃] mod p, X^i).
 
-    ``lift_extras`` optionally adds an element of p to each lift X̃^x to
-    demonstrate independence of the choice of lift.  It may also be the
-    :class:`LiftClasses` table of a choice of lifts, built once by
-    :func:`lift_classes` and shared by many cochains; otherwise the table is
-    built here, so both forms read the same table.  Nothing here reads the
-    tables of :func:`costar`.
+    ``table`` is the :class:`LiftClasses` table of a choice of lifts X̃^x,
+    built once by :func:`lift_classes` and shared by many cochains; with
+    lifts modified inside p it demonstrates independence of the choice of
+    lift.  By default the table of the plain lifts is built here.  Nothing
+    here reads the tables of :func:`costar`.
     """
     if c.deg != 2:
         raise ValueError("evaluation form is for degree 2")
     alg = c.alg
-    table = (lift_extras if isinstance(lift_extras, LiftClasses)
-             else lift_classes(alg, lift_extras))
+    if table is None:
+        table = lift_classes(alg)
     if table.blocks != alg.blocks:
         raise ValueError("lift table is for another grading")
     # Every term whose φ-value is not a stored pair is 0.

@@ -21,7 +21,8 @@ contractions tr(W), tr(W'), tr(i_τ τ), the four-fold symmetry split of
 (0,2)-type tensors, the exact linear algebra relating the Rho tensor to
 the Ricci contraction (eigenvalues n, n+4, n+2, n+2 on the four symmetry
 types), and the expansion of the Weyl blocks from curvatures and the Rho
-tensor.
+tensor.  It is tensor calculus only: the typing of the harmonic space,
+which reads these blocks, is ``feff.verify_harmonic_types``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .gla import GradedSL, graded_sl, smat_add_into
-from .kostant import ChainModule, Cochain, hodge
+from .gla import GradedSL, smat_add_into
+from .kostant import Cochain
 
 TAU_SIG = ("E", "F*", "E", "F*", "F", "E*")
 W_SIG = ("E", "F*", "E", "F*", "E", "E*")
@@ -331,74 +332,3 @@ def rho_cochain(p: EFTensor, alg: GradedSL) -> Cochain:
     for (a, ap, c, bp), v in p.data.items():
         out.add_term((alg.index_of_neg[(ap + 2, a)],), {(c, bp + 2): v})
     return out
-
-
-# ---------------------------------------------------------------------------
-# Harmonic typing of the (2, n) grading
-# ---------------------------------------------------------------------------
-
-
-def check_harmonic_torsion_type(n: int) -> dict[str, object]:
-    """Typing of the degree-2 harmonic space of the (2, n) grading.
-
-    The harmonic space must split into a τ-component with values in g_{-1}
-    of type (Sym²E⊗E*)_o ⊗ (Λ²F*⊗F)_o and a ρ-component with values in
-    sl(F) ⊆ g_0 of type Λ²E ⊗ Sym²F* ⊗ sl(F).  Returns the component
-    dimensions and a list of failed conditions (empty when all hold).
-    """
-    alg = graded_sl((2, n))
-    harm = hodge((2, n), 2).ker_box
-    # The basis lists g_-, then g_+, then the degree-0 part.
-    negative, degree_zero = range(alg.dim_neg), range(2 * alg.dim_neg, alg.dim)
-    tau_part = harm.intersect(
-        ChainModule.from_values("negative-valued", alg, 2, lambda T: negative), "tau-part")
-    rho_part = harm.intersect(
-        ChainModule.from_values("degree-0-valued", alg, 2, lambda T: degree_zero), "rho-part")
-    failures: list[str] = []
-    if tau_part.dim + rho_part.dim != harm.dim:
-        failures.append("harmonic space is not the sum of its two typed parts")
-    if not tau_part.sum_with(rho_part).same_space(harm):
-        failures.append("typed parts do not span the harmonic space")
-    for c in tau_part.basis_cochains():
-        blocks = extract_blocks(c)
-        tau = blocks.tau
-        if not (blocks.W.is_zero() and blocks.Wp.is_zero() and blocks.Y.is_zero()):
-            failures.append("τ-part has values outside g_{-1}")
-            break
-        if tau.swap(0, 2) != tau:
-            failures.append("τ-part not symmetric in the E argument slots")
-            break
-        if tau.swap(1, 3) != tau.scale(-1):
-            failures.append("τ-part not skew in the F* argument slots")
-            break
-        if not (tau.contract(0, 5).is_zero() and tau.contract(2, 5).is_zero()):
-            failures.append("τ-part not trace-free over E")
-            break
-        if not (tau.contract(4, 1).is_zero() and tau.contract(4, 3).is_zero()):
-            failures.append("τ-part not trace-free over F")
-            break
-    for c in rho_part.basis_cochains():
-        blocks = extract_blocks(c)
-        wp = blocks.Wp
-        if not (blocks.tau.is_zero() and blocks.Y.is_zero()):
-            failures.append("ρ-part has values outside g_0")
-            break
-        if not blocks.W.is_zero():
-            failures.append("ρ-part has a nonzero E-endomorphism component")
-            break
-        if wp.swap(0, 2) != wp.scale(-1):
-            failures.append("ρ-part not skew in the E argument slots")
-            break
-        if wp.swap(1, 3) != wp:
-            failures.append("ρ-part not symmetric in the F* argument slots")
-            break
-        if not wp.contract(4, 5).is_zero():
-            failures.append("ρ-part values not trace-free on F")
-            break
-    return {
-        "ok": not failures,
-        "harmonic_dim": harm.dim,
-        "tau_dim": tau_part.dim,
-        "rho_dim": rho_part.dim,
-        "failures": failures,
-    }

@@ -9,6 +9,7 @@ or input errors.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import sys
@@ -475,6 +476,12 @@ class TestCheckRegistry:
             {"check": "jacobi", "n": 2, "status": "FAIL", "cases_run": 12,
              "wall_time_ms": 0, "counterexample": "failure 0"}]
 
+    def test_report_ok_is_read_from_failed(self) -> None:
+        assert Report(n=2, cases=3).ok
+        assert not Report(n=2, cases=3, failed=1).ok
+        with pytest.raises(AttributeError):
+            Report(n=2, cases=3).ok = False
+
     def test_merged_sources_count_every_failure(self, monkeypatch) -> None:
         def ten_failures(n, source):
             chk = _Checker()
@@ -488,17 +495,27 @@ class TestCheckRegistry:
         assert rep.failures == [f"path: failure {k}" for k in range(8)]
 
     def test_failing_ag_costar_trial_fails_the_cell(self, capsys, monkeypatch) -> None:
+        """A failing bracket identity fails the cell, counted once per cell
+        and not once per trial."""
         broken = _Checker()
         for k in range(10):
             broken.check(False, f"bracket {k}")
-        monkeypatch.setattr(feff, "_ag_bracket_identity", lambda n: broken.report(n))
+        monkeypatch.setattr(checks, "_ag_bracket_identity", lambda n: broken.report(n))
         rep = run_check("ag-costar", 3, 1, 1)
         assert not rep.ok and rep.failed == 10
-        assert rep.failures == [f"trial 0: bracket {k}" for k in range(8)]
+        assert rep.failures == [f"bracket {k}" for k in range(8)]
+        assert run_check("ag-costar", 3, 1, 3).failed == 10
         assert cli.main(["verify", "--check", "ag-costar", "--n-min", "3",
                          "--n-max", "3", "--trials", "1"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out and "counterexample: trial 0: bracket 0 (10 failures)" in out
+        assert "FAIL" in out and "counterexample: bracket 0 (10 failures)" in out
+
+    def test_ag_costar_counts_each_comparison_once(self) -> None:
+        """Each trial adds its three comparisons; the bracket identity is
+        checked once per cell, however many trials it samples."""
+        one, three = run_check("ag-costar", 3, 1, 1), run_check("ag-costar", 3, 1, 3)
+        assert one.ok and three.ok
+        assert three.cases - one.cases == 6
 
     def test_residual_outside_e_fails_normalize_step(self, capsys, monkeypatch) -> None:
         """A transfer residual outside 𝔼 is a failed trial, not an error."""
@@ -540,12 +557,19 @@ class TestCheckRegistry:
         assert rep.failures[:len(failing)] == [f"1-1-2: {msg}" for msg in failing]
 
     def test_failing_ag_harmonic_type_fails_the_sweep(self, monkeypatch) -> None:
-        typed = {"ok": False, "harmonic_dim": 0, "tau_dim": 0, "rho_dim": 0,
-                 "failures": [f"type {k}" for k in range(10)]}
-        monkeypatch.setattr(penrose, "check_harmonic_torsion_type", lambda n: typed)
+        """A slot swap that returns its tensor unchanged breaks one tensor
+        condition of every basis cochain of both typed parts (τ is skew in
+        its F* slots, ρ in its E slots): one failure per basis cochain."""
+        monkeypatch.setattr(penrose.EFTensor, "swap",
+                            lambda self, i, j: self.scale(1))
         rep = verify_harmonic_types(3, "ag")
-        assert not rep.ok and rep.failed == 10
-        assert rep.failures == [f"type {k}" for k in range(8)]
+        assert rep.details == {"harmonic_dim": 48, "tau_dim": 24, "rho_dim": 24}
+        assert rep.cases == 2 + 5 * 48
+        assert not rep.ok and rep.failed == 48
+        assert rep.failures == [f"τ-part basis cochain {k} is not skew in the F* "
+                                "argument slots" for k in range(8)]
+        rep = run_check("harmonic-types", 3, 1, 1)
+        assert rep.failed == 48 and rep.failures[0].startswith("ag: τ-part")
 
 
 class TestVerifyCommand:
@@ -595,7 +619,7 @@ class TestVerifyCommand:
         assert "--trials" in captured.err
 
     def test_zero_case_cell_is_reported_as_fail(self, capsys, monkeypatch) -> None:
-        vacuous = Report(name="jacobi", n=2, ok=True, cases=0)
+        vacuous = Report(name="jacobi", n=2, cases=0)
         monkeypatch.setitem(CHECKS, "jacobi", (2, lambda n, rng, trials: vacuous))
         rc, out = self.run_json(capsys, "--check", "jacobi",
                                 "--n-min", "2", "--n-max", "2")
@@ -604,6 +628,40 @@ class TestVerifyCommand:
                                     "cases_run": 0, "wall_time_ms": 0,
                                     "counterexample": "the cell ran no cases"}]
 
+    def test_raising_cell_is_a_fail_row_and_the_run_goes_on(self, capsys, monkeypatch) -> None:
+        """j_of[1] and j_of[2] swapped after the construction checks, as in
+        ``test_feff.TestRelabelingMutants``: the transfer cells raise, each
+        is a FAIL row with the exception as its counterexample, and every
+        other row is the row of the unmutated run."""
+        argv = ("--check", "all", "--n-min", "2", "--n-max", "3")
+        rc, out = self.run_json(capsys, *argv)
+        assert rc == 0
+        clean = json.loads(out)
+        real = feff.build_maps
+
+        def swapped(n: int, source: str):
+            maps = copy.copy(real(n, source))
+            maps.j_of = [maps.j_of[0], maps.j_of[2], maps.j_of[1], *maps.j_of[3:]]
+            return maps
+
+        monkeypatch.setattr(feff, "build_maps", swapped)
+        rc, out = self.run_json(capsys, *argv)
+        assert rc == 1
+        rows = json.loads(out)
+        assert len(rows) == len(clean) == 22
+        raised = [(row["check"], row["n"]) for row, before in zip(rows, clean)
+                  if row != before]
+        assert raised == [("path-normality", 2), ("path-normality", 3),
+                          ("torsion-transfer", 2), ("torsion-transfer", 3)]
+        for row, before in zip(rows, clean):
+            if (row["check"], row["n"]) in raised:
+                assert row == {"check": row["check"], "n": row["n"], "status": "FAIL",
+                               "cases_run": 0, "wall_time_ms": 0,
+                               "counterexample": "ValueError: index tuple is not "
+                                                 "strictly increasing"}
+            else:
+                assert row == before and row["status"] == "PASS"
+
     def test_unknown_check_is_rejected_by_the_parser(self) -> None:
         with pytest.raises(SystemExit) as err:
             cli.main(["verify", "--check", "curvature"])
@@ -611,7 +669,7 @@ class TestVerifyCommand:
 
     def test_failing_cell_sets_exit_code_and_counterexample(
             self, capsys, monkeypatch) -> None:
-        stub = Report(name="jacobi", n=2, ok=False, cases=3,
+        stub = Report(name="jacobi", n=2, cases=3,
                       failures=["stub mismatch"], details={}, failed=1)
         monkeypatch.setattr(cli, "run_check", lambda *a: stub)
         rc, out = self.run_json(capsys, "--check", "jacobi",

@@ -34,7 +34,6 @@ from kostantcheck.feff import (
     INFEASIBLE,
     SOURCES,
     _constrained_module,
-    _eval2_table,
     _second_sum_table,
     _wedge_table,
     EmbeddingMaps,
@@ -498,7 +497,10 @@ class TestExactSubspaceSites:
             table = _wedge_table(r, s)
             assert all(table.values())
             for c in basis:
-                assert _eval2_table(c, table) == _eval2(c, r, s)
+                got: dict = {}
+                for st, u in c.data.items():
+                    smat_add_into(got, u, table.get(st, 0))
+                assert got == _eval2(c, r, s)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_null_space_sites_never_see_an_empty_row_list(self, n, monkeypatch) -> None:
@@ -683,10 +685,32 @@ class TestVerificationSweeps:
         assert rep.cases == cases
         assert rep.details == details
 
-    @pytest.mark.parametrize("n,cases", [(2, 827), (3, 3699)])
+    @pytest.mark.parametrize("n,cases", [(2, 127), (3, 318), (4, 643), (5, 1138)])
     def test_beta_and_second_sum(self, n, cases) -> None:
+        """One case per β basis pair, per dual-basis bracket and per
+        (second-sum table, T): dim q_+ = 2n + 1 positive directions times
+        dim g, n brackets, and 2n + 1 tables (n + 1 degree −1 directions and
+        n [X_E, X_V]) times the C(2n + 1, 2) tuples T."""
         rep = verify_beta_and_second_sum(n)
         assert rep.ok and rep.cases == cases
+        d = 2 * n + 1
+        assert cases == d * ((n + 2) ** 2 - 1) + n + d * (d * (d - 1) // 2)
+
+    @pytest.mark.parametrize("n,cases", [(3, 204), (4, 340), (5, 540)])
+    def test_ag_costar_cell_cases(self, n, cases) -> None:
+        """Three comparisons per trial, and the bracket identity once on its
+        2n·dim g basis pairs."""
+        rep = run_check("ag-costar", n, 1, 20)
+        assert rep.ok and rep.cases == cases
+        assert cases == 3 * 20 + 2 * n * ((n + 2) ** 2 - 1)
+
+    @pytest.mark.parametrize("n,cases", [(3, 246), (4, 756)])
+    def test_harmonic_types_cell_cases(self, n, cases) -> None:
+        """The path sweep's four cases, then for AG the sum and span of the
+        typed parts and five tensor conditions per basis cochain of each."""
+        rep = run_check("harmonic-types", n, 1, 1)
+        assert rep.ok and rep.cases == cases
+        assert cases == 4 + 2 + 5 * (rep.details["ag_tau_dim"] + rep.details["ag_rho_dim"])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_second_sum_tables_match_the_dense_sum(self, n: int) -> None:
@@ -711,7 +735,10 @@ class TestVerificationSweeps:
                     want: dict = {}
                     for bcls, unit in terms:
                         smat_add_into(want, _eval2(phi, bcls, unit), -1)
-                    assert _eval2_table(phi, table) == want
+                    got: dict = {}
+                    for st, u in phi.data.items():
+                        smat_add_into(got, u, table.get(st, 0))
+                    assert got == want
                     nonzero += bool(want)
         assert nonzero > 0
 

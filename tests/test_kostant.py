@@ -408,25 +408,20 @@ class TestCostar:
         for _ in range(5):
             c = random_cochain(alg, 2, rng)
             extras = [parabolic_element(alg, rng) for _ in range(alg.dim_neg)]
-            assert costar_two_form(c, extras) == costar_two_form(c)
+            assert costar_two_form(c, lift_classes(alg, extras)) == costar_two_form(c)
 
     def test_lift_extras_need_one_element_of_p_per_quotient_vector(self) -> None:
         rng = random.Random(59)
         alg = graded_sl((1, 1, 2))
-        c = random_cochain(alg, 2, rng)
         extras = [parabolic_element(alg, rng) for _ in range(alg.dim_neg)]
         for wrong in (extras[:-1], extras + [{}], []):
             with pytest.raises(ValueError, match="one element of p"):
                 lift_classes(alg, wrong)
-            with pytest.raises(ValueError, match="one element of p"):
-                costar_two_form(c, wrong)
         for x in range(alg.dim_neg):
             outside = list(extras)
             outside[x] = {**extras[x], alg.neg_positions[0]: F(1)}
             with pytest.raises(ValueError, match="must lie in p"):
                 lift_classes(alg, outside)
-            with pytest.raises(ValueError, match="must lie in p"):
-                costar_two_form(c, outside)
 
     def test_lift_table_of_another_grading_is_rejected(self) -> None:
         c = random_cochain(graded_sl((1, 1, 2)), 2, random.Random(61))

@@ -23,6 +23,7 @@ from fractions import Fraction
 import pytest
 
 from kostantcheck.checks import _random_tensor
+from kostantcheck.feff import verify_harmonic_types
 from kostantcheck.gla import graded_sl
 from kostantcheck.kostant import Cochain, hodge, partial
 from kostantcheck.penrose import (
@@ -32,7 +33,6 @@ from kostantcheck.penrose import (
     WP_SIG,
     Y_SIG,
     EFTensor,
-    check_harmonic_torsion_type,
     extract_blocks,
     reassemble,
     rho_cochain,
@@ -342,17 +342,17 @@ class TestHarmonicTyping:
     @pytest.mark.parametrize("n,harmonic_dim,tau_dim,rho_dim",
                              [(3, 48, 24, 24), (4, 150, 80, 70)])
     def test_frozen_dimensions(self, n, harmonic_dim, tau_dim, rho_dim) -> None:
-        data = check_harmonic_torsion_type(n)
-        assert data["ok"], data["failures"]
-        assert data["harmonic_dim"] == harmonic_dim
-        assert data["tau_dim"] == tau_dim
-        assert data["rho_dim"] == rho_dim
+        rep = verify_harmonic_types(n, "ag")
+        assert rep.ok, rep.failures
+        assert rep.details["harmonic_dim"] == harmonic_dim
+        assert rep.details["tau_dim"] == tau_dim
+        assert rep.details["rho_dim"] == rho_dim
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_tau_dimension_matches_tensor_count(self, n: int) -> None:
         """dim of (Sym²E⊗E*)_o ⊗ (Λ²F*⊗F)_o is 4·(n·C(n,2) − n)."""
-        data = check_harmonic_torsion_type(n)
-        assert data["tau_dim"] == 4 * (n * (n * (n - 1) // 2) - n)
+        rep = verify_harmonic_types(n, "ag")
+        assert rep.details["tau_dim"] == 4 * (n * (n * (n - 1) // 2) - n)
 
     def test_harmonic_tau_vanishes_under_all_contractions(self) -> None:
         harm = hodge((2, 3), 2).ker_box
