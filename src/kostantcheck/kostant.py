@@ -42,12 +42,12 @@ One table of terms, ``_exterior_table``, defines both operators: the tuple
 and sign of every term on each Z_T.  ``partial`` and ``costar`` apply it to
 cochains, and ``operator_block`` reads it, with the algebra's bracket
 tables, into the weight blocks that ``block_product`` multiplies.  The
-Hodge decomposition, the module maps of ``norm-modules`` and the ∂*∂ solve
-of ``feff.normalize_step`` read blocks; every other check applies the
-cochain operators.  The signs are pinned by an independent term-by-term
-reference, ``reference_partial`` and ``reference_costar`` in
-``test_kostant.py``, against which the tier-1 tests compare the cochain
-operators and every block column.
+Hodge decomposition, the module maps of ``norm-modules``, the ∂*∂ solve
+of ``feff.normalize_step`` and the ∂*∂* = 0 sweep of ``codiff-lift`` read
+blocks; every other check applies the cochain operators.  The signs are
+pinned by an independent term-by-term reference, ``reference_partial`` and
+``reference_costar`` in ``test_kostant.py``, against which the tier-1 tests
+compare the cochain operators and every block column.
 """
 
 from __future__ import annotations
@@ -184,39 +184,18 @@ def _apply_exterior(c: Cochain, step: int) -> Cochain:
     return out
 
 
-@dataclass(frozen=True)
-class LiftClasses:
-    """The second-sum table of the degree-2 evaluation form for one choice
-    of lifts: ``rows[x]`` lists ``(i, ((a, −c/2), …))`` for each i whose
-    bracket [Z_i, X̃^x] has the nonzero class Σ_a c·X^a mod p.  Built by
-    :func:`lift_classes`; valid only for the grading ``blocks``."""
-
-    blocks: tuple[int, ...]
-    rows: tuple[tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...], ...]
-
-
-def lift_classes(alg: GradedSL,
-                 lift_extras: Sequence[SparseMat] | None = None) -> LiftClasses:
-    """Classes of [Z_i, X̃^x] mod p for every pair of quotient indices, where
-    X̃^x is the chosen lift ``x_mat(x)`` plus ``lift_extras[x]`` if given.
-
-    ``lift_extras`` must hold exactly one element of p per quotient basis
-    vector; anything else is a ``ValueError``.  The table depends only on the
-    grading and the lifts, so a sweep builds it once and evaluates every
-    cochain with it.
-    """
-    if lift_extras is not None:
-        if len(lift_extras) != alg.dim_neg:
-            raise ValueError(f"lift_extras needs one element of p per quotient "
-                             f"basis vector: {alg.dim_neg}, got {len(lift_extras)}")
-        if any(alg.degree_of_position(a, b) < 0 for extra in lift_extras for (a, b) in extra):
-            raise ValueError("lift modification must lie in p")
+@lru_cache(maxsize=None)
+def _lift_classes(blocks: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The second-sum table of the degree-2 evaluation form: row x lists
+    ``(i, ((a, −c/2), …))`` for each i whose bracket [Z_i, X^x] with the
+    chosen lift ``x_mat(x)`` has the nonzero class Σ_a c·X^a mod p.  A lift
+    changed by an element of p gives the same table, since [Z_i, p] ⊆ p;
+    ``codiff-lift`` checks that inclusion."""
+    alg = graded_sl(blocks)
     z_mats = [alg.z_mat(i) for i in range(alg.dim_neg)]
     rows = []
     for x in range(alg.dim_neg):
-        lift = dict(alg.x_mat(x))
-        if lift_extras is not None:
-            smat_add_into(lift, lift_extras[x])
+        lift = alg.x_mat(x)
         row = []
         for i, z in enumerate(z_mats):
             cls = tuple((a, Fraction(-cf, 2))
@@ -224,31 +203,25 @@ def lift_classes(alg: GradedSL,
             if cls:
                 row.append((i, cls))
         rows.append(tuple(row))
-    return LiftClasses(alg.blocks, tuple(rows))
+    return tuple(rows)
 
 
-def costar_two_form(c: Cochain, table: LiftClasses | None = None) -> Cochain:
+def costar_two_form(c: Cochain) -> Cochain:
     """Degree-2 evaluation form of ∂*, usable as an independent oracle:
 
         (∂*φ)(X) = Σ_i [Z_i, φ(X, X^i)] − ½ Σ_i φ([Z_i, X̃] mod p, X^i).
 
-    ``table`` is the :class:`LiftClasses` table of a choice of lifts X̃^x,
-    built once by :func:`lift_classes` and shared by many cochains; with
-    lifts modified inside p it demonstrates independence of the choice of
-    lift.  By default the table of the plain lifts is built here.  Nothing
-    here reads the tables of :func:`costar`.
+    The classes [Z_i, X̃^x] mod p come from one table per grading, built on
+    first use from the chosen lifts.  Nothing here reads the tables of
+    :func:`costar`.
     """
     if c.deg != 2:
         raise ValueError("evaluation form is for degree 2")
     alg = c.alg
-    if table is None:
-        table = lift_classes(alg)
-    if table.blocks != alg.blocks:
-        raise ValueError("lift table is for another grading")
     # Every term whose φ-value is not a stored pair is 0.
     values = _values_by_argument(c)
     out = Cochain(alg, 1)
-    for x, row in enumerate(table.rows):
+    for x, row in enumerate(_lift_classes(alg.blocks)):
         acc: SparseMat = {}
         for i, (u, sign) in values.get(x, {}).items():
             smat_add_into(acc, smat_bracket(alg.z_mat(i), u), sign)

@@ -43,7 +43,6 @@ from kostantcheck.kostant import (
     insertion_partners,
     insertion_table,
     laplacian,
-    lift_classes,
     operator_block,
     partial,
 )
@@ -242,6 +241,19 @@ def parabolic_element(alg, rng: random.Random) -> dict:
     return e
 
 
+def lift_class_table(alg, extras) -> dict:
+    """(x, i) ↦ the nonzero class of [Z_i, x_mat(x) + extras[x]] mod p."""
+    table = {}
+    for x in range(alg.dim_neg):
+        lift = dict(alg.x_mat(x))
+        smat_add_into(lift, extras[x])
+        for i in range(alg.dim_neg):
+            cls = alg.class_mod_p(smat_bracket(alg.z_mat(i), lift))
+            if any(cls):
+                table[x, i] = cls
+    return table
+
+
 class TestCochainStorage:
     def test_alternation_on_insert_and_lookup(self) -> None:
         alg = graded_sl((1, 1, 2))
@@ -403,30 +415,15 @@ class TestCostar:
             assert costar(c) == costar_two_form(c)
 
     def test_evaluation_form_is_lift_independent(self) -> None:
+        """The form reads the lifts only through the classes [Z_i, X̃^x] mod
+        p, and lifts moved inside p give the same class table."""
         rng = random.Random(47)
         alg = graded_sl((1, 1, 2))
+        plain = lift_class_table(alg, [{}] * alg.dim_neg)
+        assert plain
         for _ in range(5):
-            c = random_cochain(alg, 2, rng)
             extras = [parabolic_element(alg, rng) for _ in range(alg.dim_neg)]
-            assert costar_two_form(c, lift_classes(alg, extras)) == costar_two_form(c)
-
-    def test_lift_extras_need_one_element_of_p_per_quotient_vector(self) -> None:
-        rng = random.Random(59)
-        alg = graded_sl((1, 1, 2))
-        extras = [parabolic_element(alg, rng) for _ in range(alg.dim_neg)]
-        for wrong in (extras[:-1], extras + [{}], []):
-            with pytest.raises(ValueError, match="one element of p"):
-                lift_classes(alg, wrong)
-        for x in range(alg.dim_neg):
-            outside = list(extras)
-            outside[x] = {**extras[x], alg.neg_positions[0]: F(1)}
-            with pytest.raises(ValueError, match="must lie in p"):
-                lift_classes(alg, outside)
-
-    def test_lift_table_of_another_grading_is_rejected(self) -> None:
-        c = random_cochain(graded_sl((1, 1, 2)), 2, random.Random(61))
-        with pytest.raises(ValueError, match="another grading"):
-            costar_two_form(c, lift_classes(graded_sl((2, 2))))
+            assert lift_class_table(alg, extras) == plain
 
     def test_second_summand_absent_in_one_graded_case(self) -> None:
         """In a |1|-graded algebra [Z_i, X̃] ∈ g_0 ⊆ p, so the evaluation
@@ -478,7 +475,9 @@ class TestExteriorTable:
     def test_codiff_lift_fails_with_one_sign_class_negated(self, monkeypatch, step, second) -> None:
         """A copy of the table with the first (x given) or second (x None)
         sum of ∂ or ∂* negated; the cached table and the Hodge cache stay
-        as they were."""
+        as they were.  A ∂* mutant also fails the block ∂*∂* sweep of the
+        path grading, which the cell runs first, so the operator blocks are
+        built from the table in force."""
         real = kostant._exterior_table
         copies: dict = {}
 
@@ -497,6 +496,8 @@ class TestExteriorTable:
         rep = run_check("codiff-lift", 2, 1, 1)
         monkeypatch.undo()
         assert not rep.ok and rep.failed > 0
+        if step == -1:
+            assert any(f.startswith("1-1-2: ∂*∂* ≠ 0") for f in rep.failures), rep.failures
         assert hodge.cache_info() == hodge_before
         assert any(terms != real(blocks, deg, step)[T]
                    for (blocks, deg), table in copies.items() for T, terms in table.items())
@@ -506,6 +507,17 @@ class TestExteriorTable:
     def test_codiff_lift_passes_with_the_real_table(self) -> None:
         rep = run_check("codiff-lift", 2, 1, 1)
         assert rep.ok and rep.cases > 0
+
+    def test_codiff_lift_draws_nothing_from_its_generator(self) -> None:
+        class NoDraws(random.Random):
+            def random(self):
+                raise AssertionError("codiff-lift drew from its generator")
+
+            def getrandbits(self, k):
+                raise AssertionError("codiff-lift drew from its generator")
+
+        rep = CHECKS["codiff-lift"][1](2, NoDraws(0), 20)
+        assert rep.ok and rep.cases == 3449
 
 
 class TestLaplacianAndHomogeneity:
