@@ -77,7 +77,8 @@ class Report:
 
 class _Checker:
     """Accumulates exact comparisons for a Report: each :meth:`check` is one
-    case, and :meth:`merge` adds the cases of a sub-sweep's own checker."""
+    case, and :meth:`merge` adds the cases of a sub-sweep's own checker;
+    nothing else counts a case."""
 
     def __init__(self) -> None:
         self.cases = 0
@@ -697,27 +698,13 @@ def verify_beta_and_second_sum(n: int, rng: object = None, trials: int = 0) -> R
     return chk.report(n)
 
 
-def _insertion_sweep(chk: _Checker, basis: list[Cochain],
-                     holds: Callable[[Cochain], bool], message: str) -> None:
-    """Check ``holds(ι_φψ)`` on every pair (φ, ψ) of ``basis``, one case each.
-
-    φ's class table is built once per φ.  A ψ outside φ's insertion partners
-    has ι_φψ = 0 exactly, and 0 satisfies both the 𝔽-membership and the
-    vanishing test, so that pair counts as a case decided without applying
-    the table.
-    """
-    positions = index_positions(basis)
-    for r, phi in enumerate(basis):
-        table = insertion_table(phi)
-        partners = insertion_partners(table, positions)
-        chk.cases += len(basis) - len(partners)
-        for s in partners:
-            chk.check(holds(apply_insertion(table, basis[s])), message.format(r, s))
-
-
 def verify_lemma_path(n: int, rng: object = None, trials: int = 0) -> Report:
     """Stability of 𝔽 under insertions, vanishing of insertions on 𝔼,
     harmonic containment in 𝔽, and the semisimple-value refinement.
+
+    ι_φψ is evaluated on φ's insertion partners only; it is 0 on every
+    other ψ.  On 𝔼 one case checks the reason it vanishes: every basis
+    cochain is p-valued, so its class table is empty.
 
     The harmonic containment is stated for curvatures of path geometries,
     whose harmonic part has no Λ²q_1^V component (that block is the
@@ -731,11 +718,17 @@ def verify_lemma_path(n: int, rng: object = None, trials: int = 0) -> Report:
     chk = _Checker()
     f_mod, e_mod = module_F_path(n), module_E_path(n)
     f_basis = f_mod.basis_cochains()
-    e_basis = e_mod.basis_cochains()
-    _insertion_sweep(chk, f_basis, lambda ins: f_mod.contains(costar(ins)),
-                     "insertion left F at pair ({},{})")
-    _insertion_sweep(chk, e_basis, Cochain.is_zero,
-                     "insertion nonzero on E pair ({},{})")
+    positions = index_positions(f_basis)
+    for r, phi in enumerate(f_basis):
+        table = insertion_table(phi)
+        for s in insertion_partners(table, positions):
+            chk.check(f_mod.contains(costar(apply_insertion(table, f_basis[s]))),
+                      f"insertion left F at pair ({r},{s})")
+    outside_p = next((r for r, phi in enumerate(e_mod.basis_cochains())
+                      if insertion_table(phi).rows), None)
+    chk.check(outside_p is None,
+              f"E basis cochain {outside_p} has a value outside p, "
+              "so insertions on E need not vanish")
     hd = hodge((1, 1, n), 2)
     harm_inv = hd.ker_box.intersect(module_no_vv_path(n), "harmonic-involutive")
     chk.check(harm_inv.is_contained_in(f_mod),
@@ -1057,24 +1050,21 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
 
 
 def verify_torsion_transfer(n: int, rng: object = None, trials: int = 0) -> Report:
-    """tr(ι_τ̃ τ̃) = 0 on transfers of the path 𝔽-module (full polarized
-    sweep), and the module-level torsion-freeness equivalence."""
+    """tr(ι_τ̃ τ̃) = 0 on transfers of the path 𝔽-module, polarized over the
+    pairs of nonzero τ̃, and the module-level torsion-freeness equivalence."""
     maps = build_maps(n, "path")
     g, gt = maps.g, maps.gt
     chk = _Checker()
     f_basis = module_F_path(n).basis_cochains()
     taus = [penrose.extract_blocks(transfer(c, maps)).tau for c in f_basis]
     nonzero = [(r, t) for r, t in enumerate(taus) if not t.is_zero()]
-    pairs = 0
+    # A pair with a vanishing τ̃ gives zero by bilinearity.
     for a, (r, t1) in enumerate(nonzero):
         for (s, t2) in nonzero[a:]:
             resid = penrose.tr_itau_tau_bilinear(t1, t2).add(
                 penrose.tr_itau_tau_bilinear(t2, t1))
-            pairs += 1
             chk.check(resid.is_zero(),
                       f"tr(ι_τ̃ τ̃) polarization nonzero at ({r},{s})")
-    # pairs involving a vanishing τ̃ are trivially zero but still count
-    chk.cases += len(taus) * (len(taus) + 1) // 2 - pairs
 
     # Forward implication: torsion-free source curvature is A-valued, and
     # i'(A) ⊆ p̃, so its transfer is p̃-valued (torsion-free target).

@@ -169,19 +169,26 @@ def _apply_exterior(c: Cochain, step: int) -> Cochain:
     each stored u at T adds, times the sign, to every S of T's row, bracketed
     with X^x (∂) or Z_x (∂*) unless x is None; no tuple needs sorting."""
     alg = c.alg
-    mat_of = alg.x_mat if step == 1 else alg.z_mat
+    mats = _exterior_mats(alg.blocks, step)
     table = _exterior_table(alg.blocks, c.deg, step)
     out = Cochain(alg, c.deg + step)
     data = out.data
     for T, u in c.data.items():
         for x, S, sign in table[T]:
-            mat = u if x is None else smat_bracket(mat_of(x), u)
+            mat = u if x is None else smat_bracket(mats[x], u)
             if mat:
                 target = data.setdefault(S, {})
                 smat_add_into(target, mat, sign)
                 if not target:
                     del data[S]
     return out
+
+
+@lru_cache(maxsize=None)
+def _exterior_mats(blocks: tuple[int, ...], step: int) -> tuple[SparseMat, ...]:
+    """X^x (∂, ``step`` 1) or Z_x (∂*, −1) per grading; shared, so never mutated."""
+    alg = graded_sl(blocks)
+    return tuple(map(alg.x_mat if step == 1 else alg.z_mat, range(alg.dim_neg)))
 
 
 @lru_cache(maxsize=None)

@@ -457,6 +457,26 @@ class TestCheckRegistry:
         assert not rep.ok and rep.failed == 1
         assert rep.failures == ["the cell ran no cases"]
 
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_every_case_is_one_checker_comparison(self, name, monkeypatch) -> None:
+        """A cell's ``cases`` is the number of ``_Checker.check`` calls it
+        made, at its smallest n and at n = 3: no sweep counts a case that it
+        did not compare."""
+        calls = 0
+        real = _Checker.check
+
+        def counted(self, ok, message):
+            nonlocal calls
+            calls += 1
+            real(self, ok, message)
+
+        monkeypatch.setattr(_Checker, "check", counted)
+        for n in sorted({CHECKS[name][0], 3}):
+            calls = 0
+            rep = run_check(name, n, 1, 2)
+            assert rep is not None and rep.ok, (n, rep and rep.failures)
+            assert rep.cases == calls, n
+
     def test_every_failure_is_counted(self, capsys, monkeypatch) -> None:
         def ten_failures(n, rng, trials):
             chk = _Checker()

@@ -744,12 +744,20 @@ class TestVerificationSweeps:
 
     def test_lemma_path_frozen(self) -> None:
         rep = verify_lemma_path(2)
-        assert rep.ok and rep.cases == 4948
+        assert rep.ok and rep.cases == 87
         assert rep.details == {
             "F_dim": 61, "E_dim": 35, "harmonic_dim": 9,
             "harmonic_nonvv_dim": 8, "rho_harmonic_dim": 5,
             "rho_ker_costar_dim": 12, "rho_ker_costar_ss_valued": False,
         }
+
+    def test_lemma_path_fails_when_E_has_a_value_outside_p(self, monkeypatch) -> None:
+        """With 𝔽 planted in place of 𝔼, some basis cochain of the planted
+        module has a value outside p, and the one 𝔼 case fails."""
+        monkeypatch.setattr(feff, "module_E_path", module_F_path)
+        rep = verify_lemma_path(2)
+        assert rep.failed == 1 and rep.cases == 87
+        assert rep.failures[0].startswith("E basis cochain ")
 
     def test_norm_modules_builds_no_cochain_per_basis_row(self, monkeypatch) -> None:
         """The condition kernels of norm-modules read label coefficients, not
@@ -789,7 +797,7 @@ class TestVerificationSweeps:
 
     def test_torsion_transfer_frozen(self) -> None:
         rep = verify_torsion_transfer(2)
-        assert rep.ok and rep.cases == 1900
+        assert rep.ok and rep.cases == 54
         assert rep.details == {"F_dim": 61, "nonzero_tau": 9}
 
     @pytest.mark.parametrize("n,details", [

@@ -623,8 +623,10 @@ class TestInsertion:
         assert nonzero > 0
 
     def test_skipped_pairs_of_the_path_sweeps_vanish_n2(self) -> None:
-        """Every 𝔽×𝔽 and 𝔼×𝔼 pair outside φ's insertion partners, which the
-        bianchi-path sweep counts without applying the table, has ι_φψ = 0."""
+        """Every 𝔽×𝔽 and 𝔼×𝔼 pair outside φ's insertion partners has
+        ι_φψ = 0: bianchi-path skips those 𝔽×𝔽 pairs, and on 𝔼 it checks
+        only that every class table is empty, so no 𝔼 basis cochain has a
+        partner."""
         for basis in (module_F_path(2).basis_cochains(),
                       module_E_path(2).basis_cochains()):
             positions = index_positions(basis)
@@ -922,10 +924,16 @@ class TestHodge:
     def test_no_check_mutates_a_shared_block_space(self) -> None:
         """After every check at n = 3 in registry order, each cached
         HodgeData still holds what a fresh computation gives: no caller
-        changed a Subspace that identical blocks share."""
+        changed a Subspace that identical blocks share.  Nor did one change
+        the X^x and Z_x that ∂ and ∂* share per grading."""
         hodge.cache_clear()
         for name in CHECKS:
             assert run_check(name, 3, 1, 2).ok, name
+        for blocks in _configs(3):
+            alg = graded_sl(blocks)
+            for step, mat_of in ((1, alg.x_mat), (-1, alg.z_mat)):
+                assert kostant._exterior_mats(blocks, step) == tuple(
+                    mat_of(x) for x in range(alg.dim_neg)), (blocks, step)
         cached_count = hodge.cache_info().currsize
         cached = {}
         for blocks in _configs(3):
