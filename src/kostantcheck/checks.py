@@ -1,15 +1,13 @@
 """The named verification suites behind the command-line harness.
 
-Each check is a function (n, rng, trials) → Report running one suite of
-exact comparisons at size n; suites that sample nothing ignore rng and
-trials, so :data:`CHECKS` maps names straight to the feff sweeps, and
-:func:`run_check` stamps the name on the Report.  Sampling — where a suite
-calls for random elements — draws integer coefficients in [−9, 9] from the
-supplied seeded generator and combines echelon basis vectors of the
-relevant submodule, so every run with the same (check, n, seed, trials)
-performs bit-for-bit the same arithmetic.  Checks built on the
-almost-Grassmannian source require n ≥ 3 and the rest n ≥ 2, as
-``feff.SOURCES`` sets.  :func:`run_check` returns None for a cell outside
+Each check is a function n → Report running one suite of exact comparisons
+at size n, and :data:`CHECKS` maps names straight to those sweeps; the
+single-source ones live in ``feff``.  Nothing is sampled: an identity that
+is linear in its input is checked on every element of a basis, which by
+linearity proves it on the whole space, so a cell's report depends on
+(check, n) alone.  :func:`run_check` stamps the name on the Report.  Checks
+built on the almost-Grassmannian source require n ≥ 3 and the rest n ≥ 2,
+as ``feff.SOURCES`` sets.  :func:`run_check` returns None for a cell outside
 its check's window, and ranged drivers skip such cells silently; a cell
 inside its window that ran no cases fails.
 """
@@ -17,12 +15,13 @@ inside its window that ran no cases fails.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import replace
+from fractions import Fraction
+from functools import reduce
 from typing import Callable
 
 from .feff import (INFEASIBLE, SOURCES, Report, _ag_bracket_identity, _Checker,
-                   ag_costar_check, build_maps, module_E, module_E2,
+                   _normalize_systems, ag_costar_check, build_maps, module_E, module_E2,
                    normalize_step, p_indices, transfer,
                    verify_beta_and_second_sum, verify_harmonic_types,
                    verify_lemma_path, verify_norm_modules,
@@ -30,12 +29,14 @@ from .feff import (INFEASIBLE, SOURCES, Report, _ag_bracket_identity, _Checker,
                    verify_transfer_memberships)
 from .gla import (Weight, grading_axiom_holds, graded_sl, jacobi_holds,
                   negative_part_generated_by_deg_minus_one, smat_bracket)
-from .kostant import (Cochain, basis_cochain, block_product, block_structure,
-                      chain_tuples, costar, costar_two_form, homogeneity,
+from .kostant import (ChainModule, Cochain, basis_cochain, block_product,
+                      block_structure, blocked_coords, chain_tuples,
+                      cochain_from_block, costar, costar_two_form, homogeneity,
                       homogeneity_split, hodge, operator_block, partial)
 from .penrose import (TRACE_SIG, W_SIG, WP_SIG, EFTensor, extract_blocks,
                       ric_from_rho, rho_cochain, rho_from_ric, sym_split,
                       tr_W, tr_Wp, weyl_from_curvature)
+from .ratlin import Subspace
 
 
 _PATH_N, _AG_N = SOURCES["path"][1], SOURCES["ag"][1]
@@ -57,30 +58,12 @@ def _tag(blocks: tuple[int, ...]) -> str:
     return "-".join(str(b) for b in blocks)
 
 
-def _random_combination(basis: list[Cochain], rng: random.Random) -> Cochain:
-    if not basis:
-        raise ValueError("cannot sample from an empty basis")
-    out = Cochain(basis[0].alg, basis[0].deg)
-    for c in basis:
-        k = rng.randint(-9, 9)
-        if k:
-            out.add_into(c, k)
-    return out
-
-
-def _random_tensor(sig: tuple[str, ...], n: int, rng: random.Random) -> EFTensor:
-    t = EFTensor(sig, n)
-    for idx in itertools.product(*map(range, t.dims)):
-        t.add_entry(idx, rng.randint(-9, 9))
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Structure and complex suites
 # ---------------------------------------------------------------------------
 
 
-def check_jacobi(n: int, rng: random.Random, trials: int) -> Report:
+def check_jacobi(n: int) -> Report:
     """Jacobi identity once for each of sl(n+2) and sl(n+3); the grading
     axiom and generation of g_- by g_-1 once for each of the four gradings."""
     chk = _Checker()
@@ -94,7 +77,7 @@ def check_jacobi(n: int, rng: random.Random, trials: int) -> Report:
     return chk.report(n)
 
 
-def check_hodge(n: int, rng: random.Random, trials: int) -> Report:
+def check_hodge(n: int) -> Report:
     """Exactness of the degree-2 Hodge decomposition for every grading:
     the three-way sum is direct and full, the Laplacian kernel equals
     ker∂ ∩ ker∂* (two independent computations), and the refinements
@@ -131,14 +114,13 @@ def check_hodge(n: int, rng: random.Random, trials: int) -> Report:
     return chk.report(n, details)
 
 
-def check_codiff_lift(n: int, rng: random.Random, trials: int) -> Report:
+def check_codiff_lift(n: int) -> Report:
     """∂*∘∂* = 0 (degrees 2–3) on every label, as the product of two
     operator blocks per weight block; ∂∘∂ = 0 (degrees 0–2) on every basis
     cochain; agreement of the degree-2 evaluation form of ∂* with the wedge
     definition; preservation of homogeneity by both operators; and, once
     per Z_i, the reason the evaluation form does not depend on the lifts:
-    [Z_i, p] ⊆ p, so a lift moved inside p keeps every class it reads.
-    Draws nothing from ``rng``."""
+    [Z_i, p] ⊆ p, so a lift moved inside p keeps every class it reads."""
     chk = _Checker()
     for blocks in _chain_configs(n):
         alg = graded_sl(blocks)
@@ -188,69 +170,73 @@ def check_codiff_lift(n: int, rng: random.Random, trials: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def check_ag_costar(n: int, rng: random.Random, trials: int) -> Report:
-    """∂̃*(transfer κ) against the contraction block formula for seeded
-    random elements of ker∂* over the (2, n) source, and once per cell the
-    bracket identity on every basis pair.  A cell with no trials checks
-    nothing, so it fails as every empty cell does."""
+def check_ag_costar(n: int) -> Report:
+    """∂̃*(transfer κ) against the contraction block formula on every basis
+    cochain κ of ker∂* over the (2, n) source, which by linearity proves it
+    on all of ker∂*, and once per cell the bracket identity on every basis
+    pair."""
     maps = build_maps(n, "ag")
     basis = hodge((2, n), 2).ker_costar.basis_cochains()
     chk = _Checker()
-    if trials:
-        chk.merge(_ag_bracket_identity(n), "")
-    for trial in range(trials):
-        chk.merge(ag_costar_check(_random_combination(basis, rng), maps),
-                  f"trial {trial}: ")
-    return chk.report(n, {
-        "trials": trials, "ker_costar_dim": len(basis),
-    })
+    chk.merge(_ag_bracket_identity(n), "")
+    for k, kappa in enumerate(basis):
+        chk.merge(ag_costar_check(kappa, maps), f"ker∂* basis cochain {k}: ")
+    return chk.report(n, {"ker_costar_dim": len(basis)})
 
 
-def check_normalize_step(n: int, rng: random.Random, trials: int) -> Report:
-    """normalize_step on constructed preimages at both filtration levels and
-    on codifferentials of transferred ker∂* samples: each ψ lies in its
-    level, is feasible, and costar(partial(φ)) + ψ is exactly zero.  That
-    residual cross-checks the block solve and ``block_product``; it shares
-    the exterior table with the blocks, whose signs codiff-lift and the
-    tier-1 reference operators check.  A ψ outside its level fails the
-    trial, whose solve is skipped."""
+def _check_solve(chk: _Checker, psi: Cochain, level: int, mod: ChainModule,
+                 where: str) -> None:
+    """normalize_step on ψ: feasible, costar(partial(φ)) + ψ exactly zero,
+    and φ in the level's module ``mod``."""
+    phi = normalize_step(psi, level)
+    chk.check(phi is not INFEASIBLE, f"level {level}: infeasible at {where}")
+    if phi is INFEASIBLE:
+        return
+    chk.check(costar(partial(phi)).add(psi).is_zero(),
+              f"level {level}: nonzero residual at {where}")
+    chk.check(mod.contains(phi), f"level {level}: solution outside the level at {where}")
+
+
+def check_normalize_step(n: int) -> Report:
+    """The normalization solve, on bases, so by linearity everywhere.
+
+    In each weight block of each level the columns of normalize_step's
+    system, ∂̃*∂̃ of the level's basis rows, lie in the level and have full
+    rank: ∂̃*∂̃ is bijective there.  The transfer residuals ∂̃*(transfer κ)
+    over the basis of ker∂* span 2n² dimensions, one per index triple of
+    the contraction in ``ag_costar_check``.  On each basis vector of that
+    span (skipped, and failed, if outside 𝔼) normalize_step is feasible,
+    leaves costar(partial(φ)) + ψ zero and returns φ in 𝔼; level 2 solves
+    once, on the sum of 𝔼⁽²⁾'s basis.  The residual shares the exterior
+    table with the blocks, whose signs codiff-lift and tier-1 check."""
     maps = build_maps(n, "ag")
     e_mod, e2_mod = module_E(n), module_E2(n)
     chk = _Checker()
-    for level, mod in ((1, e_mod), (2, e2_mod)):
-        basis = mod.basis_cochains()
-        for trial in range(max(1, trials // 4)):
-            phi0 = _random_combination(basis, rng)
-            psi = costar(partial(phi0)).scale(-1)
-            in_level = mod.contains(psi)
-            chk.check(in_level,
-                      f"level {level}: ∂̃*∂̃ left the filtration level at trial {trial}")
-            if not in_level:
-                continue
-            phi = normalize_step(psi, level)
-            chk.check(phi is not INFEASIBLE,
-                      f"level {level}: constructed preimage infeasible at trial {trial}")
-            if phi is INFEASIBLE:
-                continue
-            chk.check(costar(partial(phi)).add(psi).is_zero(),
-                      f"level {level}: nonzero residual at trial {trial}")
-            chk.check(mod.contains(phi),
-                      f"level {level}: solution outside the level at trial {trial}")
-    basis = hodge((2, n), 2).ker_costar.basis_cochains()
-    for trial in range(max(1, trials // 2)):
-        psi = costar(transfer(_random_combination(basis, rng), maps))
-        in_level = e_mod.contains(psi)
-        chk.check(in_level, f"transfer residual outside 𝔼 at trial {trial}")
-        if not in_level:
-            continue
-        phi = normalize_step(psi, 1)
-        chk.check(phi is not INFEASIBLE,
-                  f"transfer residual infeasible at trial {trial}")
-        if phi is not INFEASIBLE:
-            chk.check(costar(partial(phi)).add(psi).is_zero(),
-                      f"transfer residual not solved exactly at trial {trial}")
+    for level in (1, 2):
+        for w, space, mat in _normalize_systems(n, level):
+            image = Subspace(space.ambient, zip(*mat))
+            chk.check(space.contains_subspace(image),
+                      f"level {level}: ∂̃*∂̃ leaves the level in block {w}")
+            chk.check(image.dim == space.dim,
+                      f"level {level}: ∂̃*∂̃ is singular on block {w}")
+    residuals: dict[Weight, list[list[int | Fraction]]] = {}
+    for kappa in hodge((2, n), 2).ker_costar.basis_cochains():
+        for w, vec in blocked_coords(costar(transfer(kappa, maps))).items():
+            residuals.setdefault(w, []).append(vec)
+    span = {w: Subspace(len(vecs[0]), vecs) for w, vecs in sorted(residuals.items())}
+    rank = sum(space.dim for space in span.values())
+    chk.check(rank == 2 * n * n, f"transfer residuals span {rank} dimensions, not 2n²")
+    for w, space in span.items():
+        for k, row in enumerate(space.int_rows):
+            where = f"residual span vector {k} of block {w}"
+            in_e = e_mod.contains_block(w, row)
+            chk.check(in_e, f"transfer residual outside 𝔼 at {where}")
+            if in_e:
+                _check_solve(chk, cochain_from_block(maps.gt, 1, w, row), 1, e_mod, where)
+    _check_solve(chk, reduce(Cochain.add, e2_mod.basis_cochains()), 2, e2_mod,
+                 "the sum of the 𝔼⁽²⁾ basis")
     return chk.report(n, {
-        "E_dim": e_mod.dim, "E2_dim": e2_mod.dim,
+        "E_dim": e_mod.dim, "E2_dim": e2_mod.dim, "transfer_residual_rank": rank,
     })
 
 
@@ -267,52 +253,57 @@ def _merge_sources(n: int, sweep: Callable[[int, str], Report]) -> Report:
     return chk.report(n, details)
 
 
-def check_memberships(n: int, rng: random.Random, trials: int) -> Report:
+def check_memberships(n: int) -> Report:
     return _merge_sources(n, verify_transfer_memberships)
 
 
-def check_rho_ricci(n: int, rng: random.Random, trials: int) -> Report:
-    """The exact linear algebra of the Rho tensor: the Ricci map scales the
-    four symmetry types by n, n+4, n+2, n+2; the two maps are mutual
-    inverses; the Weyl block expansion agrees with the homology differential
-    of the Rho cochain; and the trace corrections of the expansion are
-    2P − P^A_{B'}{}^B_{A'} and −nP + P^B_{A'}{}^A_{B'}."""
+def check_rho_ricci(n: int) -> Report:
+    """The exact linear algebra of the Rho tensor, on every unit tensor,
+    which by linearity proves each identity: the Ricci map scales the four
+    symmetry types by n, n+4, n+2, n+2; the two maps are mutual inverses
+    (P → Ric → P on every unit P, Ric → P → Ric on every unit Ric); the Weyl
+    block expansion agrees with the homology differential of the Rho
+    cochain; and the trace corrections of the expansion are
+    2P − P^A_{B'}{}^B_{A'} and −nP + P^B_{A'}{}^A_{B'}.  The expansion is
+    affine in the curvatures (R_E, R_F): one comparison on fixed dense
+    tensors."""
     chk = _Checker()
     alg = graded_sl((2, n))
     zero_w, zero_wp = EFTensor(W_SIG, n), EFTensor(WP_SIG, n)
-    for trial in range(trials):
-        p = _random_tensor(TRACE_SIG, n, rng)
-        parts = sym_split(p)
-        chk.check(parts.total() == p,
-                  f"symmetry components do not sum back at trial {trial}")
+    for idx in itertools.product(*map(range, EFTensor(TRACE_SIG, n).dims)):
+        unit = EFTensor(TRACE_SIG, n, {idx: 1})
+        parts = sym_split(unit)
+        chk.check(parts.total() == unit,
+                  f"symmetry components do not sum back at unit {idx}")
         for comp, scalar in ((parts.sym_sym, n), (parts.skew_skew, n + 4),
                              (parts.sym_skew, n + 2), (parts.skew_sym, n + 2)):
             chk.check(ric_from_rho(comp, n) == comp.scale(scalar),
-                      f"Ricci map eigen-scalar {scalar} failed at trial {trial}")
-        chk.check(rho_from_ric(ric_from_rho(p, n), n) == p,
-                  f"P → Ric → P round-trip failed at trial {trial}")
-        ric = _random_tensor(TRACE_SIG, n, rng)
-        chk.check(ric_from_rho(rho_from_ric(ric, n), n) == ric,
-                  f"Ric → P → Ric round-trip failed at trial {trial}")
-        w, wp = weyl_from_curvature(zero_w, zero_wp, p)
-        blocks = extract_blocks(partial(rho_cochain(p, alg)))
+                      f"Ricci map eigen-scalar {scalar} failed at unit {idx}")
+        chk.check(rho_from_ric(ric_from_rho(unit, n), n) == unit,
+                  f"P → Ric → P round-trip failed at unit {idx}")
+        chk.check(ric_from_rho(rho_from_ric(unit, n), n) == unit,
+                  f"Ric → P → Ric round-trip failed at unit {idx}")
+        w, wp = weyl_from_curvature(zero_w, zero_wp, unit)
+        blocks = extract_blocks(partial(rho_cochain(unit, alg)))
         chk.check(blocks.tau.is_zero() and blocks.Y.is_zero(),
-                  f"∂P has values outside g_0 at trial {trial}")
+                  f"∂P has values outside g_0 at unit {idx}")
         chk.check(blocks.W == w and blocks.Wp == wp,
-                  f"Weyl expansion differs from ∂P at trial {trial}")
-        chk.check(tr_W(w) == p.scale(2).sub(p.swap(1, 3)),
-                  f"tr(W) correction failed at trial {trial}")
-        chk.check(tr_Wp(wp) == p.scale(-n).add(p.swap(0, 2)),
-                  f"tr(W') correction failed at trial {trial}")
-        r_e = _random_tensor(W_SIG, n, rng)
-        r_f = _random_tensor(WP_SIG, n, rng)
-        w2, wp2 = weyl_from_curvature(r_e, r_f, p)
-        chk.check(w2 == r_e.add(w) and wp2 == r_f.add(wp),
-                  f"Weyl expansion is not affine in the curvatures at trial {trial}")
-    return chk.report(n, {"trials": trials})
+                  f"Weyl expansion differs from ∂P at unit {idx}")
+        chk.check(tr_W(w) == unit.scale(2).sub(unit.swap(1, 3)),
+                  f"tr(W) correction failed at unit {idx}")
+        chk.check(tr_Wp(wp) == unit.scale(-n).add(unit.swap(0, 2)),
+                  f"tr(W') correction failed at unit {idx}")
+    p, r_e, r_f = (EFTensor(sig, n) for sig in (TRACE_SIG, W_SIG, WP_SIG))
+    for t in (p, r_e, r_f):  # fixed and dense: the k-th index holds k + 1
+        t.data = {idx: k + 1 for k, idx in enumerate(itertools.product(*map(range, t.dims)))}
+    w, wp = weyl_from_curvature(zero_w, zero_wp, p)
+    w2, wp2 = weyl_from_curvature(r_e, r_f, p)
+    chk.check(w2 == r_e.add(w) and wp2 == r_f.add(wp),
+              "Weyl expansion is not affine in the curvatures")
+    return chk.report(n)
 
 
-def check_harmonic_types(n: int, rng: random.Random, trials: int) -> Report:
+def check_harmonic_types(n: int) -> Report:
     return _merge_sources(n, verify_harmonic_types)
 
 
@@ -320,8 +311,8 @@ def check_harmonic_types(n: int, rng: random.Random, trials: int) -> Report:
 # Registry
 # ---------------------------------------------------------------------------
 
-#: check name → (smallest applicable n, runner (n, rng, trials) → Report).
-CHECKS: dict[str, tuple[int, Callable[[int, random.Random, int], Report]]] = {
+#: check name → (smallest applicable n, sweep n → Report).
+CHECKS: dict[str, tuple[int, Callable[[int], Report]]] = {
     "jacobi": (_PATH_N, check_jacobi),
     "hodge": (_PATH_N, check_hodge),
     "codiff-lift": (_PATH_N, check_codiff_lift),
@@ -343,18 +334,17 @@ CHECK_NAMES = tuple(CHECKS)
 def run_check(name: str, n: int, seed: int, trials: int) -> Report | None:
     """Run one (check, n) cell; None when n is below the check's window.
 
-    The generator is seeded from the full cell identity so that cells are
-    independent of execution order and of each other.  The returned Report
-    carries the check name.  A cell that ran no cases is reported as a
-    failure, never as a pass.
+    ``seed`` and ``trials`` are accepted and ignored: no check samples, so
+    the cell depends on (name, n) alone.  The returned Report carries the
+    check name.  A cell that ran no cases is reported as a failure, never
+    as a pass.
     """
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}")
-    min_n, runner = CHECKS[name]
+    min_n, sweep = CHECKS[name]
     if n < min_n:
         return None
-    rng = random.Random(f"{seed}:{name}:{n}")
-    rep = replace(runner(n, rng, trials), name=name)
+    rep = replace(sweep(n), name=name)
     if not rep.cases:
         rep = replace(rep, failures=[*rep.failures, "the cell ran no cases"],
                       failed=rep.failed + 1)

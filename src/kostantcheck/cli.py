@@ -10,16 +10,17 @@ Three subcommands:
 The JSON report format is the stable machine interface: a list of objects
 {check, n, status, cases_run, wall_time_ms} plus a counterexample field on
 failing cells, serialized with sorted keys.  wall_time_ms is fixed to 0 in
-JSON so that runs with identical (check, n, seed, trials) are byte-
-identical; measured times appear in the text format only.  Exit codes:
-0 when every report passes, 1 when any cell fails (a cell that ran no
-cases fails, and so does a cell that raises: its row has cases_run 0 and
-the exception as its counterexample, and the run goes on with the next
-cell), 2 for usage or input errors, such as a non-positive
---trials or an --output path that cannot be written.  Cells whose size
-lies outside a check's window (the suites built on the almost-Grassmannian
-source need n ≥ 3) are skipped without a report, so ranged runs over mixed
-windows can still exit 0.
+JSON so that runs over the same checks and sizes are byte-identical;
+measured times appear in the text format only.  No check samples, so
+--seed and --trials are accepted, and --trials validated, but neither
+changes a byte of output.  Exit codes: 0 when every report passes, 1 when
+any cell fails (a cell that ran no cases fails, and so does a cell that
+raises: its row has cases_run 0 and the exception as its counterexample,
+and the run goes on with the next cell), 2 for usage or input errors, such
+as a non-positive --trials or an --output path that cannot be written.
+Cells whose size lies outside a check's window (the suites built on the
+almost-Grassmannian source need n ≥ 3) are skipped without a report, so
+ranged runs over mixed windows can still exit 0.
 """
 
 from __future__ import annotations
@@ -150,9 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-min", type=int, default=2)
     p_verify.add_argument("--n-max", type=int, default=3)
     p_verify.add_argument("--seed", type=int, default=0,
-                          help="seed for the sampled suites")
+                          help="accepted for compatibility; changes no output")
     p_verify.add_argument("--trials", type=int, default=20,
-                          help="samples per sampled suite (default: 20)")
+                          help="a positive integer, accepted for compatibility; "
+                               "changes no output")
     p_verify.add_argument("--format", choices=("text", "json"),
                           default="text")
     p_verify.set_defaults(func=cmd_verify)

@@ -27,8 +27,8 @@ through one :class:`_Checker`, one case per exact comparison made, and
 returns a Report of the case count, the failure count and the first
 failures; the check registry stamps the name.  The harmonic typing of both
 sources is one such routine, which reads the τ and ρ tensor types through
-``penrose``'s block extraction.  The single-source sweeps take the
-registry's (n, rng, trials) signature and ignore the last two.
+``penrose``'s block extraction.  The single-source sweeps take n alone,
+the registry's signature, so the registry points straight at them.
 """
 
 from __future__ import annotations
@@ -587,7 +587,7 @@ def normality_defect(phi: Cochain, maps: EmbeddingMaps) -> Cochain:
     return out
 
 
-def verify_path_normality(n: int, rng: object = None, trials: int = 0) -> Report:
+def verify_path_normality(n: int) -> Report:
     """∂̃*(transfer φ) = α∘(∂*φ)∘π, in the exact form in which it holds.
 
     The identity as displayed holds on the curvature module 𝔽 (verified on a
@@ -654,7 +654,7 @@ def _second_sum_table(g: GradedSL, cls: Sequence[Fraction]) -> dict[tuple[int, i
     return out
 
 
-def verify_beta_and_second_sum(n: int, rng: object = None, trials: int = 0) -> Report:
+def verify_beta_and_second_sum(n: int) -> Report:
     """β([π*(Z), i′(W)]) = [Z, W] for all basis pairs, and the second-sum
     evaluation −Σ_i φ([Z_i, X], X^i): zero for X of degree ≥ −1 and equal to
     2 φ(X_E, X_V) for X = [X_E, X_V].
@@ -698,7 +698,7 @@ def verify_beta_and_second_sum(n: int, rng: object = None, trials: int = 0) -> R
     return chk.report(n)
 
 
-def verify_lemma_path(n: int, rng: object = None, trials: int = 0) -> Report:
+def verify_lemma_path(n: int) -> Report:
     """Stability of 𝔽 under insertions, vanishing of insertions on 𝔼,
     harmonic containment in 𝔽, and the semisimple-value refinement.
 
@@ -815,7 +815,7 @@ def _images_rank(images: list[tuple[Weight, list[int | Fraction]]]) -> int:
                ([v for u, v in images if u == w] for w in {w for w, _ in images}))
 
 
-def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
+def verify_norm_modules(n: int) -> Report:
     """Stability ∂̃𝔼 ⊆ 𝔽, ∂̃*𝔽 ⊆ 𝔼, the mutual bijections between
     im∂̃*∩𝔼 and im∂̃∩𝔽, im∂̃*∩𝔼 = 𝔼 and ∂̃*∂̃𝔼⁽²⁾ ⊆ 𝔼⁽²⁾ (so ∂̃*∂̃ is
     bijective on 𝔼 and on 𝔼⁽²⁾), and the defining-condition realizations
@@ -853,8 +853,9 @@ def verify_norm_modules(n: int, rng: object = None, trials: int = 0) -> Report:
     # With the bijections above, im∂*∩E = E makes ∂̃*∂̃ bijective on E; with
     # ∂̃*∂̃E2 ⊆ E2 and injectivity it is bijective on E2 as well.
     chk.check(m1.same_space(e_mod), "im∂*∩E differs from E")
-    # The columns of normalize_step's level-2 systems: ∂̃*∂̃ of E2's basis rows.
-    e2_images = ((w, col) for w, _, mat in _normalize_systems(n, 2) for col in zip(*mat))
+    # ∂̃*∂̃ of E2's basis rows, from the blocks cached above.
+    e2_images = module_images(e2_mod, lambda w: block_product(down(w), up(w),
+                                                              here.block_dim(w)))
     for idx, (w, img) in enumerate(e2_images):
         chk.check(e2_mod.contains_block(w, img), f"∂*∂E2 ⊄ E2 at basis element {idx}")
 
@@ -946,9 +947,10 @@ def normalize_step(psi: Cochain, level: int) -> Cochain | None:
     One exact system per weight block of the level's module: the block's
     equations in the coefficients of the module's basis rows there, built
     once per (n, level).  ∂̃*∂̃ maps 𝔼 and 𝔼⁽²⁾ onto themselves bijectively
-    (checked by ``norm-modules``), so every ψ of the level has a preimage.
-    Returns the cochain φ, or INFEASIBLE (None) when some block's system
-    has no solution.  ψ must lie in the level.
+    (checked block by block by ``normalize-step``), so every ψ of the level
+    has a preimage.  A block where ψ is zero is skipped: solve would return
+    the zero solution there.  Returns the cochain φ, or INFEASIBLE (None)
+    when some block's system has no solution.  ψ must lie in the level.
     """
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
@@ -962,8 +964,9 @@ def normalize_step(psi: Cochain, level: int) -> Cochain | None:
         raise ValueError("psi outside the required filtration level")
     phi = Cochain(alg, 1)
     for w, space, mat in _normalize_systems(n, level):
-        rhs = [-v for v in psi_blocks.get(w, [0] * space.ambient)]
-        u = solve(mat, rhs)
+        if w not in psi_blocks:
+            continue  # ψ is zero here, and so is the solution solve would return
+        u = solve(mat, [-v for v in psi_blocks[w]])
         if u is None:
             return INFEASIBLE
         vec = [sum(c * x for c, x in zip(u, col) if c) for col in zip(*space.int_rows)]
@@ -1049,7 +1052,7 @@ def verify_transfer_memberships(n: int, source: str) -> Report:
     return chk.report(n, details)
 
 
-def verify_torsion_transfer(n: int, rng: object = None, trials: int = 0) -> Report:
+def verify_torsion_transfer(n: int) -> Report:
     """tr(ι_τ̃ τ̃) = 0 on transfers of the path 𝔽-module, polarized over the
     pairs of nonzero τ̃, and the module-level torsion-freeness equivalence."""
     maps = build_maps(n, "path")

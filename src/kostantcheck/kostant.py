@@ -67,7 +67,6 @@ from .gla import (
     graded_sl,
     smat_add_into,
     smat_bracket,
-    smat_scale,
 )
 from .ratlin import Subspace, null_space
 
@@ -129,12 +128,6 @@ class Cochain:
         out.data = {T: dict(mat) for T, mat in self.data.items()}
         return out.add_into(other, coeff)
 
-    def scale(self, coeff) -> "Cochain":
-        out = Cochain(self.alg, self.deg)
-        if coeff:
-            out.data = {T: smat_scale(mat, coeff) for T, mat in self.data.items()}
-        return out
-
     def is_zero(self) -> bool:
         return not self.data
 
@@ -192,14 +185,15 @@ def _exterior_mats(blocks: tuple[int, ...], step: int) -> tuple[SparseMat, ...]:
 
 
 @lru_cache(maxsize=None)
-def _lift_classes(blocks: tuple[int, ...]) -> tuple[tuple, ...]:
-    """The second-sum table of the degree-2 evaluation form: row x lists
-    ``(i, ((a, −c/2), …))`` for each i whose bracket [Z_i, X^x] with the
-    chosen lift ``x_mat(x)`` has the nonzero class Σ_a c·X^a mod p.  A lift
-    changed by an element of p gives the same table, since [Z_i, p] ⊆ p;
-    ``codiff-lift`` checks that inclusion."""
+def _lift_classes(blocks: tuple[int, ...]) -> tuple[tuple[SparseMat, ...], tuple[tuple, ...]]:
+    """The Z_i, and the second-sum table of the degree-2 evaluation form:
+    row x lists ``(i, ((a, −c/2), …))`` for each i whose bracket [Z_i, X^x]
+    with the chosen lift ``x_mat(x)`` has the nonzero class Σ_a c·X^a mod p.
+    A lift changed by an element of p gives the same table, since
+    [Z_i, p] ⊆ p; ``codiff-lift`` checks that inclusion.  Both are shared,
+    so never mutated."""
     alg = graded_sl(blocks)
-    z_mats = [alg.z_mat(i) for i in range(alg.dim_neg)]
+    z_mats = tuple(alg.z_mat(i) for i in range(alg.dim_neg))
     rows = []
     for x in range(alg.dim_neg):
         lift = alg.x_mat(x)
@@ -210,7 +204,7 @@ def _lift_classes(blocks: tuple[int, ...]) -> tuple[tuple, ...]:
             if cls:
                 row.append((i, cls))
         rows.append(tuple(row))
-    return tuple(rows)
+    return z_mats, tuple(rows)
 
 
 def costar_two_form(c: Cochain) -> Cochain:
@@ -218,9 +212,9 @@ def costar_two_form(c: Cochain) -> Cochain:
 
         (∂*φ)(X) = Σ_i [Z_i, φ(X, X^i)] − ½ Σ_i φ([Z_i, X̃] mod p, X^i).
 
-    The classes [Z_i, X̃^x] mod p come from one table per grading, built on
-    first use from the chosen lifts.  Nothing here reads the tables of
-    :func:`costar`.
+    The Z_i and the classes [Z_i, X̃^x] mod p come from one table per
+    grading, built on first use from the chosen lifts.  Nothing here reads
+    the tables of :func:`costar`.
     """
     if c.deg != 2:
         raise ValueError("evaluation form is for degree 2")
@@ -228,10 +222,11 @@ def costar_two_form(c: Cochain) -> Cochain:
     # Every term whose φ-value is not a stored pair is 0.
     values = _values_by_argument(c)
     out = Cochain(alg, 1)
-    for x, row in enumerate(_lift_classes(alg.blocks)):
+    z_mats, rows = _lift_classes(alg.blocks)
+    for x, row in enumerate(rows):
         acc: SparseMat = {}
         for i, (u, sign) in values.get(x, {}).items():
-            smat_add_into(acc, smat_bracket(alg.z_mat(i), u), sign)
+            smat_add_into(acc, smat_bracket(z_mats[i], u), sign)
         for i, cls in row:
             if i in values:
                 for a, half in cls:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .gla import GradedSL, smat_add_into
@@ -45,6 +46,16 @@ TRACE_SIG = ("E", "F*", "E", "F*")
 _VALID_SLOTS = frozenset({"E", "E*", "F", "F*"})
 
 
+@lru_cache(maxsize=None)
+def _slot_dims(sig: tuple[str, ...], n: int) -> tuple[int, ...]:
+    """Each slot's range, 2 for E and E*, n for F and F*, checked once."""
+    if not sig or any(s not in _VALID_SLOTS for s in sig):
+        raise ValueError("slot signature must be nonempty over {E, E*, F, F*}")
+    if n < 1:
+        raise ValueError("F-dimension must be positive")
+    return tuple(2 if s in ("E", "E*") else n for s in sig)
+
+
 class EFTensor:
     """Sparse tensor with exact entries and slots typed over {E, E*, F, F*}.
 
@@ -58,12 +69,8 @@ class EFTensor:
     def __init__(self, sig: Sequence[str], n: int,
                  data: Mapping[tuple[int, ...], int | Fraction] | None = None) -> None:
         self.sig = tuple(sig)
-        if not self.sig or any(s not in _VALID_SLOTS for s in self.sig):
-            raise ValueError("slot signature must be nonempty over {E, E*, F, F*}")
-        if n < 1:
-            raise ValueError("F-dimension must be positive")
         self.n = n
-        self.dims = tuple(2 if s in ("E", "E*") else n for s in self.sig)
+        self.dims = _slot_dims(self.sig, n)
         self.data: dict[tuple[int, ...], int | Fraction] = {}
         if data:
             for idx, v in data.items():
@@ -154,30 +161,27 @@ def _ef_pair(alg: GradedSL, i: int) -> tuple[int, int]:
 
 
 def extract_blocks(kappa: Cochain) -> CurvatureBlocks:
-    """Split a degree-2 cochain over the (2, n) grading into (τ, W, W', Y)."""
+    """Split a degree-2 cochain over the (2, n) grading into (τ, W, W', Y).
+    Each entry comes from one stored pair, slot order and value position,
+    and its index is in range by construction: it is stored as it is."""
     alg = kappa.alg
     if len(alg.blocks) != 2 or alg.blocks[0] != 2:
         raise ValueError("block extraction requires the (2, n) grading")
     if kappa.deg != 2:
         raise ValueError("block extraction requires a degree-2 cochain")
     n = alg.blocks[1]
-    tau = EFTensor(TAU_SIG, n)
-    w = EFTensor(W_SIG, n)
-    wp = EFTensor(WP_SIG, n)
-    y = EFTensor(Y_SIG, n)
+    tau, w, wp, y = (EFTensor(sig, n) for sig in (TAU_SIG, W_SIG, WP_SIG, Y_SIG))
     for (i, j), u in kappa.data.items():
         ai, aip = _ef_pair(alg, i)
         aj, ajp = _ef_pair(alg, j)
-        for head, sign in (((ai, aip, aj, ajp), 1), ((aj, ajp, ai, aip), -1)):
-            for (r, c), v in u.items():
-                if r >= 2 and c <= 1:
-                    tau.add_entry(head + (r - 2, c), sign * v)
-                elif r <= 1 and c <= 1:
-                    w.add_entry(head + (r, c), sign * v)
-                elif r >= 2 and c >= 2:
-                    wp.add_entry(head + (r - 2, c - 2), sign * v)
-                else:
-                    y.add_entry(head + (r, c - 2), sign * v)
+        first, second = (ai, aip, aj, ajp), (aj, ajp, ai, aip)
+        for (r, c), v in u.items():
+            if r >= 2:
+                data, tail = (tau.data, (r - 2, c)) if c <= 1 else (wp.data, (r - 2, c - 2))
+            else:
+                data, tail = (w.data, (r, c)) if c <= 1 else (y.data, (r, c - 2))
+            data[first + tail] = v
+            data[second + tail] = -v
     return CurvatureBlocks(tau=tau, W=w, Wp=wp, Y=y, n=n)
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from kostantcheck import feff
+from kostantcheck import checks, feff
 from kostantcheck.checks import run_check
 from kostantcheck.cochain_io import cochain_to_doc
 from kostantcheck.feff import (
@@ -65,6 +65,7 @@ from kostantcheck.gla import (elementary, graded_sl, smat_add_into, smat_bracket
 from kostantcheck.kostant import (ChainModule, Cochain, block_product, block_structure,
                                   blocked_coords, chain_tuples, cochain_from_block, costar,
                                   hodge, operator_block, partial)
+from kostantcheck.penrose import TRACE_SIG, EFTensor
 from kostantcheck.ratlin import Subspace, kernel_basis, solve, zero_vector
 from test_kostant import position, reference_costar, reference_partial
 
@@ -97,10 +98,14 @@ def _unit_class(dim: int, s: int) -> list[int]:
 
 
 def combine(basis, rng: random.Random, picks: int = 5) -> Cochain:
-    out = basis[0].scale(0)
+    out = Cochain(basis[0].alg, basis[0].deg)
     for i in rng.sample(range(len(basis)), min(picks, len(basis))):
         out = out.add(basis[i], rng.randint(1, 4))
     return out
+
+
+def negated(c: Cochain) -> Cochain:
+    return Cochain(c.alg, c.deg).add(c, -1)
 
 
 class TestEmbeddingMaps:
@@ -432,7 +437,7 @@ class TestTransfer:
         maps = build_maps(n, source)
         rng = random.Random(f"{n}:{source}")
         kappas = [random_kappa(maps.g, rng, dense) for dense in (False, True) * 3]
-        cancelled = kappas[-1].scale(1)
+        cancelled = Cochain(maps.g, 2).add(kappas[-1])
         cancelled.add_into(kappas[-1], -1)
         for kappa in kappas + [cancelled]:
             got = transfer(kappa, maps)
@@ -696,13 +701,15 @@ class TestVerificationSweeps:
         d = 2 * n + 1
         assert cases == d * ((n + 2) ** 2 - 1) + n + d * (d * (d - 1) // 2)
 
-    @pytest.mark.parametrize("n,cases", [(3, 204), (4, 340), (5, 540)])
-    def test_ag_costar_cell_cases(self, n, cases) -> None:
-        """Three comparisons per trial, and the bracket identity once on its
-        2n·dim g basis pairs."""
-        rep = run_check("ag-costar", n, 1, 20)
+    @pytest.mark.parametrize("n,kernel,cases", [(3, 258, 918), (4, 772, 2596),
+                                                (5, 1790, 5850)])
+    def test_ag_costar_cell_cases(self, n, kernel, cases) -> None:
+        """Three comparisons per basis cochain of ker∂*, and the bracket
+        identity once on its 2n·dim g basis pairs."""
+        rep = run_check("ag-costar", n, 1, 1)
         assert rep.ok and rep.cases == cases
-        assert cases == 3 * 20 + 2 * n * ((n + 2) ** 2 - 1)
+        assert rep.details == {"ker_costar_dim": kernel}
+        assert cases == 3 * kernel + 2 * n * ((n + 2) ** 2 - 1)
 
     @pytest.mark.parametrize("n,cases", [(3, 246), (4, 756)])
     def test_harmonic_types_cell_cases(self, n, cases) -> None:
@@ -857,6 +864,52 @@ class TestAgCostar:
             ag_costar_check(kappa, build_maps(3, "ag"))
 
 
+class TestPlantedFaults:
+    """A fault on a single index of the code a converted cell checks fails
+    that cell, with no seed involved."""
+
+    def test_relabeling_wrong_at_one_index_fails_ag_costar(self, monkeypatch) -> None:
+        """j_of[0] moved onto the π-kernel direction just below it: the
+        transfer is wrong on X^0 alone and j_of still increases."""
+        maps = build_maps(3, "ag")
+        assert maps.pi_kernel.contains(_unit_class(maps.gt.dim_neg, maps.j_of[0] - 1))
+        real = checks.build_maps
+
+        def mutated(n: int, source: str) -> EmbeddingMaps:
+            out = copy.copy(real(n, source))
+            out.j_of = [out.j_of[0] - 1, *out.j_of[1:]]
+            return out
+
+        monkeypatch.setattr(checks, "build_maps", mutated)
+        rep = run_check("ag-costar", 3, 1, 1)
+        assert not rep.ok and rep.failed == 156 and rep.cases == 918
+        assert rep.failures[0] == ("ker∂* basis cochain 9: costar of the transfer "
+                                   "differs from the block formula")
+
+    def test_ricci_map_wrong_at_one_index_fails_rho_ricci(self, monkeypatch) -> None:
+        """ric_from_rho adds P's (1, 0, 0, 0) entry at (0, 0, 0, 0): only the
+        units that reach that entry, (1, 0, 0, 0) and its E-slot swap
+        (0, 0, 1, 0), fail."""
+        real = checks.ric_from_rho
+
+        def wrong(p: EFTensor, n: int) -> EFTensor:
+            out = real(p, n)
+            v = p.data.get((1, 0, 0, 0))
+            return out.add(EFTensor(TRACE_SIG, n, {(0, 0, 0, 0): v})) if v else out
+
+        monkeypatch.setattr(checks, "ric_from_rho", wrong)
+        rep = run_check("rho-ricci", 3, 1, 1)
+        assert not rep.ok and rep.failed == 7 and rep.cases == 397
+        assert rep.failures == [
+            "Ricci map eigen-scalar 3 failed at unit (0, 0, 1, 0)",
+            "Ricci map eigen-scalar 5 failed at unit (0, 0, 1, 0)",
+            "Ric → P → Ric round-trip failed at unit (0, 0, 1, 0)",
+            "Ricci map eigen-scalar 3 failed at unit (1, 0, 0, 0)",
+            "Ricci map eigen-scalar 5 failed at unit (1, 0, 0, 0)",
+            "P → Ric → P round-trip failed at unit (1, 0, 0, 0)",
+            "Ric → P → Ric round-trip failed at unit (1, 0, 0, 0)"]
+
+
 def reference_normalize_step(psi: Cochain, level: int) -> Cochain | None:
     """normalize_step with its ∂̃*∂̃ columns built the long way: each basis
     row of the level becomes a cochain and goes through partial, costar and
@@ -906,7 +959,7 @@ class TestNormalizeStep:
         psis = []
         for level, module in ((1, module_E), (2, module_E2)):
             basis = module(n).basis_cochains()
-            psis += [(costar(partial(combine(basis, rng))).scale(-1), level)
+            psis += [(negated(costar(partial(combine(basis, rng)))), level)
                      for _ in range(3)]
             psis.append((basis[0], level))
         kernel = hodge((2, n), 2).ker_costar.basis_cochains()
@@ -922,7 +975,7 @@ class TestNormalizeStep:
         e_mod = module_E(3)
         basis = e_mod.basis_cochains()
         for _ in range(3):
-            psi = costar(partial(combine(basis, rng))).scale(-1)
+            psi = negated(costar(partial(combine(basis, rng))))
             phi = normalize_step(psi, 1)
             assert phi is not INFEASIBLE
             assert e_mod.contains(phi)
@@ -932,7 +985,7 @@ class TestNormalizeStep:
         rng = random.Random(32)
         basis = module_E2(3).basis_cochains()
         for _ in range(3):
-            psi = costar(partial(combine(basis, rng))).scale(-1)
+            psi = negated(costar(partial(combine(basis, rng))))
             phi = normalize_step(psi, 2)
             assert phi is not INFEASIBLE
             assert module_E2(3).contains(phi)
@@ -973,12 +1026,33 @@ class TestNormalizeStep:
             (w, space, [[0] * len(row) for row in mat]) for w, space, mat in systems(n, level)])
         psi = module_E(3).basis_cochains()[0]
         assert normalize_step(psi, 1) is INFEASIBLE
-        rep = run_check("normalize-step", 3, 1, 3)
-        assert not rep.ok and rep.failed == 3 and rep.cases == 6
-        assert rep.failures == [
-            "level 1: constructed preimage infeasible at trial 0",
-            "level 2: constructed preimage infeasible at trial 0",
-            "transfer residual infeasible at trial 0"]
+        rep = run_check("normalize-step", 3, 1, 1)
+        # The cell's own block cases read the real systems and pass; each of
+        # the 2n² = 18 span solves and the level-2 solve is infeasible.
+        assert not rep.ok and rep.failed == 19 and rep.cases == 2 * 48 + 1 + 18 + 18 + 1
+        assert all(f.startswith("level 1: infeasible at residual span vector ")
+                   for f in rep.failures)
+
+    def test_zeroed_column_fails_its_blocks_rank_case(self, monkeypatch) -> None:
+        """One column of the first level-1 system zeroed, for the cell and
+        for normalize_step alike: that block's rank case fails, and so does
+        the one span solve that lands in the block."""
+        systems = feff._normalize_systems
+
+        def zeroed(n: int, level: int):
+            out = systems(n, level)
+            if level != 1:
+                return out
+            (w, space, mat), *rest = out
+            return [(w, space, [[0, *row[1:]] for row in mat]), *rest]
+
+        monkeypatch.setattr(feff, "_normalize_systems", zeroed)
+        monkeypatch.setattr(checks, "_normalize_systems", zeroed)
+        w = systems(3, 1)[0][0]
+        rep = run_check("normalize-step", 3, 1, 1)
+        assert not rep.ok and rep.failed == 2
+        assert rep.failures == [f"level 1: ∂̃*∂̃ is singular on block {w}",
+                                f"level 1: infeasible at residual span vector 0 of block {w}"]
 
     def test_level_validation(self) -> None:
         alg = graded_sl((2, 4))

@@ -22,7 +22,7 @@ import pytest
 from kostantcheck import kostant
 from kostantcheck.checks import CHECKS, _chain_configs, _configs, run_check
 from kostantcheck.feff import module_E_path, module_F_path
-from kostantcheck.gla import elementary, graded_sl, smat_add_into, smat_bracket
+from kostantcheck.gla import elementary, graded_sl, smat_add_into, smat_bracket, smat_scale
 from kostantcheck.kostant import (
     BlockStructure,
     ChainModule,
@@ -329,9 +329,10 @@ class TestCochainStorage:
         rng = random.Random(53)
         for _ in range(5):
             c = random_cochain(alg, 2, rng)
-            assert Cochain(alg, 2, c.data).add_into(c, 2) == c.scale(3)
+            tripled = Cochain(alg, 2, {T: smat_scale(u, 3) for T, u in c.data.items()})
+            assert Cochain(alg, 2, c.data).add_into(c, 2) == tripled
             same = Cochain(alg, 2, c.data)
-            assert same.add_into(same, 2) == c.scale(3)
+            assert same.add_into(same, 2) == tripled
             same = Cochain(alg, 2, c.data)
             assert same.add_into(same, -1).is_zero()
 
@@ -508,15 +509,14 @@ class TestExteriorTable:
         rep = run_check("codiff-lift", 2, 1, 1)
         assert rep.ok and rep.cases > 0
 
-    def test_codiff_lift_draws_nothing_from_its_generator(self) -> None:
-        class NoDraws(random.Random):
-            def random(self):
-                raise AssertionError("codiff-lift drew from its generator")
+    def test_codiff_lift_draws_nothing_from_its_generator(self, monkeypatch) -> None:
+        """The sweep takes n alone and draws nothing from any generator."""
+        def refuse(*args):
+            raise AssertionError("codiff-lift drew from a generator")
 
-            def getrandbits(self, k):
-                raise AssertionError("codiff-lift drew from its generator")
-
-        rep = CHECKS["codiff-lift"][1](2, NoDraws(0), 20)
+        monkeypatch.setattr(random.Random, "random", refuse)
+        monkeypatch.setattr(random.Random, "getrandbits", refuse)
+        rep = CHECKS["codiff-lift"][1](2)
         assert rep.ok and rep.cases == 3449
 
 
